@@ -99,10 +99,10 @@ type sessionPool struct {
 type SessionStats struct {
 	// Solves is the number of Solve calls answered.
 	Solves int64
-	// Reuses counts Solve/EvaluateSpread calls that found their seed set's
-	// prepared instance and estimator in the session's cache; Rebuilds
-	// counts calls that had to build them (first sight of a seed set, or
-	// re-entry after eviction past maxSessionInstances).
+	// Reuses counts Prepare/Solve/EvaluateSpread calls that found their
+	// seed set's prepared instance and estimator in the session's cache;
+	// Rebuilds counts calls that had to build them (first sight of a seed
+	// set, or re-entry after eviction past maxSessionInstances).
 	Reuses   int64
 	Rebuilds int64
 	// PoolBuilds and PoolReuses count ReuseSamples solves that had to draw
@@ -159,23 +159,23 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 func (s *Session) Diffusion() Diffusion { return s.diffusion }
 
 // prepare returns the cached instance+estimator for seeds, building one on
-// a miss and evicting the least recently used entry past the bound. Caller
-// holds the session lock.
-func (s *Session) prepare(seeds []graph.V) (*sessionInstance, error) {
+// a miss (built reports which) and evicting the least recently used entry
+// past the bound. Caller holds the session lock.
+func (s *Session) prepare(seeds []graph.V) (si *sessionInstance, built bool, err error) {
 	key := seedsKey(seeds)
 	s.tick++
-	for _, si := range s.insts {
-		if si.key == key {
-			si.used = s.tick
+	for _, c := range s.insts {
+		if c.key == key {
+			c.used = s.tick
 			s.stats.Reuses++
-			return si, nil
+			return c, false, nil
 		}
 	}
 	in, err := newInstance(s.g, seeds)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	si := &sessionInstance{
+	si = &sessionInstance{
 		key:   key,
 		seeds: append([]graph.V(nil), seeds...),
 		in:    in,
@@ -197,7 +197,7 @@ func (s *Session) prepare(seeds []graph.V) (*sessionInstance, error) {
 		s.insts[lru] = si
 	}
 	s.stats.Rebuilds++
-	return si, nil
+	return si, true, nil
 }
 
 // warmPool returns si's cached incremental estimator for (opt.Seed,
@@ -401,13 +401,24 @@ func (h *LockedSession) Reset(g *graph.Graph, epoch uint64) {
 	s.epoch = epoch
 }
 
+// Prepare makes sure the session holds the seed set's instance — the
+// multi-seed unification, candidate list and estimator scratch — building
+// it on a miss, and reports whether it did. Solve and EvaluateSpread
+// prepare on demand; calling Prepare first lets a caller account the build
+// separately from the work that follows. It counts in SessionStats like
+// any other call that looks the instance up.
+func (h *LockedSession) Prepare(seeds []graph.V) (built bool, err error) {
+	_, built, err = h.s.prepare(seeds)
+	return built, err
+}
+
 // Solve is Session.Solve on an already-acquired session.
 func (h *LockedSession) Solve(ctx context.Context, seeds []graph.V, b int, alg Algorithm, opt Options) (Result, error) {
 	if b < 0 {
 		return Result{}, fmt.Errorf("core: negative budget %d", b)
 	}
 	s := h.s
-	si, err := s.prepare(seeds)
+	si, _, err := s.prepare(seeds)
 	if err != nil {
 		return Result{}, err
 	}
@@ -435,7 +446,7 @@ func (h *LockedSession) Solve(ctx context.Context, seeds []graph.V, b int, alg A
 // EvaluateSpread is Session.EvaluateSpread on an already-acquired session.
 func (h *LockedSession) EvaluateSpread(seeds []graph.V, blockers []graph.V, rounds int, opt Options) (float64, error) {
 	s := h.s
-	si, err := s.prepare(seeds)
+	si, _, err := s.prepare(seeds)
 	if err != nil {
 		return 0, err
 	}
@@ -506,8 +517,9 @@ func (s *Session) PoolStats() (bytes, builds, reuses int64) {
 }
 
 // seedsKey canonicalizes a seed slice for reuse detection. Order is kept:
-// UnifySeeds lays out the super-source adjacency in seed order, so only a
-// byte-identical seed sequence is guaranteed to replay identically.
+// UnifySeeds multiplies the seeds' influence into the super-source's edge
+// probabilities in seed order, so only a byte-identical seed sequence is
+// guaranteed to replay identically.
 func seedsKey(seeds []graph.V) string {
 	var b strings.Builder
 	for i, v := range seeds {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -177,6 +178,92 @@ func TestSolveContextCanceled(t *testing.T) {
 		}
 		if len(res.Blockers) != 0 {
 			t.Errorf("%s: got %d blockers before first round check", alg, len(res.Blockers))
+		}
+	}
+}
+
+// Prepare builds a seed set's instance once and reports it; the solve that
+// follows matches a cold Solve, and bad seed sets fail at Prepare.
+func TestLockedSessionPrepare(t *testing.T) {
+	g := sessionTestGraph(300)
+	seeds := []graph.V{2, 8, 40}
+	opt := Options{Theta: 150, Seed: 5, Workers: 1}
+	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 1)
+	h, err := sess.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, false} {
+		built, err := h.Prepare(seeds)
+		if err != nil || built != want {
+			t.Fatalf("prepare %d: built %v err %v, want %v", i, built, err, want)
+		}
+	}
+	got, err := h.Solve(context.Background(), seeds, 5, GreedyReplace, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Prepare([]graph.V{graph.V(g.N())}); err == nil {
+		t.Error("out-of-range seed prepared")
+	}
+	h.Release()
+	if st := sess.Stats(); st.Rebuilds != 1 || st.Reuses != 2 {
+		t.Errorf("rebuilds/reuses = %d/%d, want 1/2", st.Rebuilds, st.Reuses)
+	}
+	want, err := Solve(g, seeds, 5, GreedyReplace, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Blockers, want.Blockers) {
+		t.Fatalf("prepared session blockers %v != cold %v", got.Blockers, want.Blockers)
+	}
+}
+
+// A seed listed twice is one seed: Solve and EvaluateSpread give the same
+// answers for [a,a,b] as for [a,b], under both diffusion models.
+func TestRepeatedSeedMatchesDistinct(t *testing.T) {
+	tiny := graph.FromEdges(4, []graph.Edge{{From: 0, To: 2, P: 0.5}, {From: 1, To: 2, P: 0.5}, {From: 2, To: 3, P: 0.5}})
+	opt := Options{Seed: 3, Workers: 1}
+	rep, err := EvaluateSpread(tiny, []graph.V{0, 0, 1}, nil, 20000, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := EvaluateSpread(tiny, []graph.V{0, 1}, nil, 20000, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Exact spread: 2 seeds + P(2 active) 0.75 + P(3 active) 0.375.
+	if rep != dist || math.Abs(rep-3.125) > 0.03 {
+		t.Fatalf("spread of [0,0,1] = %v, of [0,1] = %v, want both ≈ 3.125", rep, dist)
+	}
+
+	g := sessionTestGraph(300)
+	a, b := graph.V(4), graph.V(21)
+	for _, d := range []Diffusion{DiffusionIC, DiffusionLT} {
+		opt := Options{Theta: 150, Seed: 9, Workers: 1, Diffusion: d}
+		for _, alg := range []Algorithm{AdvancedGreedy, GreedyReplace} {
+			x, err := Solve(g, []graph.V{a, a, b}, 5, alg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := Solve(g, []graph.V{a, b}, 5, alg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(x.Blockers, y.Blockers) {
+				t.Fatalf("%s/%v: blockers %v for [a,a,b], %v for [a,b]", alg, d, x.Blockers, y.Blockers)
+			}
+			sx, err := EvaluateSpread(g, []graph.V{a, a, b}, x.Blockers, 500, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sy, err := EvaluateSpread(g, []graph.V{a, b}, y.Blockers, 500, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sx != sy {
+				t.Fatalf("%s/%v: spread %v for [a,a,b], %v for [a,b]", alg, d, sx, sy)
+			}
 		}
 	}
 }

@@ -15,8 +15,8 @@ import "time"
 // CPU-bound, so wall ns on the solving goroutine is the CPU-ns proxy; queue
 // fields are pure wait). Sample counts come straight from the core's
 // Result/RoundInfo/RepairStats accounting, so the block explains where a
-// solve's budget went: admission wait, session repair, θ sampling, dirty
-// reprocessing, and stolen cross-shard work.
+// solve's budget went: admission wait, session repair, instance builds, θ
+// sampling, dirty reprocessing, and stolen cross-shard work.
 type SolveCost struct {
 	// Queue waits: the per-(graph,model) session queue and the bounded
 	// solve pool.
@@ -25,6 +25,10 @@ type SolveCost struct {
 	// MigrateNS is session repair after a mutation batch (0 when the
 	// session was already at the graph's epoch).
 	MigrateNS int64 `json:"migrate_ns,omitempty"`
+	// PrepareNS is the build of the seed set's instance: seed
+	// unification, candidate list and estimator scratch (0 when the
+	// session already held it).
+	PrepareNS int64 `json:"prepare_ns,omitempty"`
 	// SolveNS is the greedy loop proper (core.Result.Runtime).
 	SolveNS int64 `json:"solve_ns"`
 	// EvalNS is the optional before/after Monte-Carlo spread evaluation.

@@ -132,6 +132,22 @@ func TestSpreadSeedsMultiSeed(t *testing.T) {
 	}
 }
 
+// A repeated seed is one seed: seeds 0 and 1 each reach 2 w.p. 0.5, so 2 is
+// active w.p. 0.75 and 3 w.p. 0.375, for a spread of 3.125 whether seed 0
+// is listed once or twice.
+func TestSpreadSeedsRepeatedSeed(t *testing.T) {
+	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 2, P: 0.5}, {From: 1, To: 2, P: 0.5}, {From: 2, To: 3, P: 0.5}})
+	for _, seeds := range [][]graph.V{{0, 1}, {0, 0, 1}, {1, 0, 1, 0}} {
+		got, err := SpreadSeeds(g, seeds, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 3.125 {
+			t.Errorf("seeds %v: spread = %v, want 3.125", seeds, got)
+		}
+	}
+}
+
 func TestBudgetExhaustion(t *testing.T) {
 	// A dense random graph with many probabilistic edges and a budget of 1
 	// node must abort with ErrBudget.

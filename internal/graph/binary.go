@@ -94,6 +94,8 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 // ReadBinary deserializes a graph written by WriteBinary. Both the current
 // v2 format (CRC32 footer) and legacy v1 files (no footer) are accepted;
 // for v2 a checksum mismatch fails the load before the graph is trusted.
+// WriteBinary only ever stores probabilities in [0,1], so an edge whose
+// probability is NaN or out of range fails the load too.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	cr := &crcReader{r: br}
@@ -126,13 +128,13 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if g.outTo, err = readU32s(cr, int(m)); err != nil {
 		return nil, err
 	}
-	g.outP = make([]float64, m)
+	g.outP = make([]float64, 0, min(m, readChunk))
 	buf := make([]byte, 8)
-	for i := range g.outP {
+	for uint64(len(g.outP)) < m {
 		if _, err := io.ReadFull(cr, buf); err != nil {
 			return nil, fmt.Errorf("graph: reading probabilities: %w", err)
 		}
-		g.outP[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		g.outP = append(g.outP, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 	}
 	if version >= 2 {
 		// The footer is read outside the hashing tee: cr.crc now covers
@@ -157,6 +159,11 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	for _, v := range g.outTo {
 		if uint64(v) >= n {
 			return nil, fmt.Errorf("graph: target %d out of range", v)
+		}
+	}
+	for i, p := range g.outP {
+		if !(p >= 0 && p <= 1) {
+			return nil, fmt.Errorf("graph: edge %d: probability %v outside [0,1]", i, p)
 		}
 	}
 	g.rebuildIn()
@@ -229,21 +236,23 @@ func writeU32s(w io.Writer, xs []int32) error {
 	return nil
 }
 
+// readChunk caps the capacity ReadBinary reserves ahead of the data: the
+// arrays grow as their bytes arrive, so a corrupt header claiming billions
+// of vertices or edges fails at end of input instead of first allocating
+// gigabytes for them.
+const readChunk = 1 << 16
+
 func readU32s(r io.Reader, n int) ([]int32, error) {
-	xs := make([]int32, n)
+	xs := make([]int32, 0, min(n, readChunk))
 	buf := make([]byte, 4*1024)
-	for off := 0; off < n; {
-		chunk := n - off
-		if chunk > 1024 {
-			chunk = 1024
-		}
+	for len(xs) < n {
+		chunk := min(n-len(xs), 1024)
 		if _, err := io.ReadFull(r, buf[:4*chunk]); err != nil {
 			return nil, fmt.Errorf("graph: reading u32 block: %w", err)
 		}
 		for i := 0; i < chunk; i++ {
-			xs[off+i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+			xs = append(xs, int32(binary.LittleEndian.Uint32(buf[4*i:])))
 		}
-		off += chunk
 	}
 	return xs, nil
 }

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,6 +177,47 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 	bad[off+1] = 0xFF
 	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
 		t.Error("corrupt edge target accepted")
+	}
+}
+
+// A probability WriteBinary could never have stored — NaN or outside
+// [0,1] — fails the load with the edge's index, even under a valid
+// checksum.
+func TestBinaryRejectsBadProbability(t *testing.T) {
+	for _, p := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1)} {
+		g := toy().Clone()
+		g.outP[3] = p
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBinary(&buf)
+		if err == nil || !strings.Contains(err.Error(), "edge 3") {
+			t.Errorf("p=%v: err = %v, want an edge 3 error", p, err)
+		}
+	}
+}
+
+// A header claiming a billion vertices and edges over a few bytes of body
+// fails at end of input without allocating for the claimed sizes first.
+func TestBinaryHugeHeaderAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(binaryMagic)
+	hdr := make([]byte, 4+8+8)
+	binary.LittleEndian.PutUint32(hdr[0:], binaryVersion)
+	binary.LittleEndian.PutUint64(hdr[4:], 1<<30)
+	binary.LittleEndian.PutUint64(hdr[12:], 1<<30)
+	buf.Write(hdr)
+	buf.Write(make([]byte, 64))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(&buf)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated file with a huge header accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("rejecting it allocated %d bytes", alloc)
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -37,9 +38,9 @@ func (b *Builder) NumVertices() int { return b.n }
 func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // AddEdge records the directed edge (u,v) with probability p. Probabilities
-// are clamped to [0,1]. Self-loops are ignored: a vertex activating itself is
-// meaningless under the IC model. Vertex ids must be non-negative; the vertex
-// count grows automatically.
+// are clamped to [0,1], and NaN becomes 0. Self-loops are ignored: a vertex
+// activating itself is meaningless under the IC model. Vertex ids must be
+// non-negative; the vertex count grows automatically.
 func (b *Builder) AddEdge(u, v V, p float64) {
 	if u < 0 || v < 0 {
 		panic(fmt.Sprintf("graph: negative vertex id (%d,%d)", u, v))
@@ -47,7 +48,7 @@ func (b *Builder) AddEdge(u, v V, p float64) {
 	if u == v {
 		return
 	}
-	if p < 0 {
+	if p < 0 || math.IsNaN(p) {
 		p = 0
 	} else if p > 1 {
 		p = 1

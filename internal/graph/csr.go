@@ -1,19 +1,24 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NewFromCSR builds a Graph directly from a forward CSR, taking ownership of
 // the three slices. It is the fast-path constructor for callers that already
 // hold adjacency in CSR form — the dynamic overlay's snapshot materialization
-// and, transitively, every epoch commit — and skips the Builder's edge-list
-// sort entirely: the in-CSR is rebuilt by counting sort, so the total cost is
-// O(n + m) with no comparison sorting.
+// (and, transitively, every epoch commit) and UnifySeeds' multi-seed
+// reduction — and skips the Builder's edge-list sort entirely: the in-CSR is
+// rebuilt by counting sort, so the total cost is O(n + m) with no comparison
+// sorting.
 //
 // Requirements (panics otherwise, like validate): outStart has n+1 monotone
 // entries bounding len(outTo); outTo and outP are parallel; every target is
 // in [0, n); each row's targets are strictly ascending (the invariant Builder
 // establishes and OutEdgeIndex's binary search relies on); probabilities are
-// clamped to [0, 1] in place rather than rejected, matching Builder.AddEdge.
+// clamped to [0, 1] in place rather than rejected, NaN becoming 0, matching
+// Builder.AddEdge.
 func NewFromCSR(n int, outStart []int32, outTo []V, outP []float64) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
@@ -47,7 +52,7 @@ func NewFromCSR(n int, outStart []int32, outTo []V, outP []float64) *Graph {
 		}
 	}
 	for i, p := range outP {
-		if p < 0 {
+		if p < 0 || math.IsNaN(p) {
 			outP[i] = 0
 		} else if p > 1 {
 			outP[i] = 1

@@ -19,6 +19,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("-1 5\n")
 	f.Add("9999999999999999999999 1\n")
 	f.Add("0 1 nan\n0 2 -3\n0 3 7e300\n")
+	f.Add("0 2 -3\n0 3 7e300\n1 0 inf\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, orig, err := ReadEdgeList(strings.NewReader(input), ReadOptions{})
 		if err != nil {
@@ -27,14 +28,16 @@ func FuzzReadEdgeList(f *testing.F) {
 		if g.N() != len(orig) {
 			t.Fatalf("vertex count %d but %d original ids", g.N(), len(orig))
 		}
-		// Structural sanity: every edge endpoint in range, probabilities
-		// clamped to [0,1] or NaN rejected by the builder clamp.
+		// Structural sanity: every edge endpoint in range and every
+		// probability in [0,1] — the builder clamps out-of-range values and
+		// the parser rejects NaN. The range test is negated so that a NaN
+		// fails it.
 		for _, e := range g.Edges() {
 			if e.From < 0 || int(e.From) >= g.N() || e.To < 0 || int(e.To) >= g.N() {
 				t.Fatalf("edge out of range: %+v", e)
 			}
-			if e.P < 0 || e.P > 1 {
-				t.Fatalf("unclamped probability: %+v", e)
+			if !(e.P >= 0 && e.P <= 1) {
+				t.Fatalf("probability outside [0,1]: %+v", e)
 			}
 		}
 		// Round trip must succeed on anything we accepted.
@@ -75,6 +78,11 @@ func FuzzReadBinary(f *testing.F) {
 			for _, v := range g.OutNeighbors(u) {
 				if v < 0 || int(v) >= g.N() {
 					t.Fatalf("edge target %d out of range", v)
+				}
+			}
+			for _, p := range g.OutProbs(u) {
+				if !(p >= 0 && p <= 1) {
+					t.Fatalf("probability %v outside [0,1]", p)
 				}
 			}
 		}

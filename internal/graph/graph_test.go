@@ -81,15 +81,31 @@ func TestBuilderMergesParallelEdges(t *testing.T) {
 }
 
 func TestBuilderClampsProbabilities(t *testing.T) {
-	b := NewBuilder(3)
+	b := NewBuilder(4)
 	b.AddEdge(0, 1, -0.3)
 	b.AddEdge(0, 2, 1.7)
+	b.AddEdge(0, 3, math.NaN())
 	g := b.Build()
 	if p := g.Prob(0, 1); p != 0 {
 		t.Errorf("clamped low p = %v, want 0", p)
 	}
 	if p := g.Prob(0, 2); p != 1 {
 		t.Errorf("clamped high p = %v, want 1", p)
+	}
+	if p := g.Prob(0, 3); p != 0 {
+		t.Errorf("clamped NaN p = %v, want 0", p)
+	}
+}
+
+func TestNewFromCSRClampsProbabilities(t *testing.T) {
+	g := NewFromCSR(4, []int32{0, 3, 3, 3, 3}, []V{1, 2, 3}, []float64{-0.3, 1.7, math.NaN()})
+	for v, want := range map[V]float64{1: 0, 2: 1, 3: 0} {
+		if p := g.Prob(0, v); p != want {
+			t.Errorf("p(0,%d) = %v, want %v", v, p, want)
+		}
+		if p := g.InProbs(v)[0]; p != want {
+			t.Errorf("in-CSR p(0,%d) = %v, want %v", v, p, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -26,7 +27,9 @@ type ReadOptions struct {
 }
 
 // ReadEdgeList parses an edge list from r. It returns the graph and the
-// original id of each dense vertex (origID[newID] = fileID).
+// original id of each dense vertex (origID[newID] = fileID). Probabilities
+// outside [0,1] are clamped as Builder.AddEdge does; a NaN probability is
+// an error.
 func ReadEdgeList(r io.Reader, opts ReadOptions) (*Graph, []int64, error) {
 	if opts.DefaultP == 0 {
 		opts.DefaultP = 1
@@ -70,6 +73,9 @@ func ReadEdgeList(r io.Reader, opts ReadOptions) (*Graph, []int64, error) {
 			p, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				return nil, nil, fmt.Errorf("graph: line %d: bad probability: %w", lineNo, err)
+			}
+			if math.IsNaN(p) {
+				return nil, nil, fmt.Errorf("graph: line %d: probability is NaN", lineNo)
 			}
 		}
 		du, dv := intern(u), intern(v)

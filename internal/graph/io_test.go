@@ -76,6 +76,17 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+// A NaN probability passes every range comparison, so the parser rejects
+// it explicitly, naming the line.
+func TestReadEdgeListRejectsNaN(t *testing.T) {
+	for _, nan := range []string{"nan", "NaN"} {
+		_, _, err := ReadEdgeList(strings.NewReader("0 1 0.5\n1 2 "+nan+"\n"), ReadOptions{})
+		if err == nil || !strings.Contains(err.Error(), "line 2: probability is NaN") {
+			t.Errorf("%s: err = %v, want a line 2 NaN error", nan, err)
+		}
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	g := toy()
 	var buf bytes.Buffer

@@ -95,6 +95,15 @@ func (g *Graph) InducedSubgraph(keep []V) (*Graph, []V) {
 // active in the original problem, so no in-edge can change their state, and
 // their out-influence now flows from s'.
 //
+// Each distinct seed is folded in once, in order of first appearance: a
+// seed listed twice is still one always-active vertex, so its influence
+// must not be counted twice. The products are formed in that seed order.
+//
+// The copy is written straight into CSR form in O(n + m) time, with no
+// comparison sort: non-seed rows are already sorted and free of parallel
+// edges, so each is copied as it is minus its edges into seeds, and the
+// super-seed's row goes last with its targets in ascending order.
+//
 // The expected spread translates as
 //
 //	E(S, G) = E({s'}, G') - 1 + |S|
@@ -106,50 +115,64 @@ func (g *Graph) UnifySeeds(seeds []V) (*Graph, V) {
 		panic("graph: UnifySeeds with empty seed set")
 	}
 	isSeed := make([]bool, g.n)
+	distinct := make([]V, 0, len(seeds))
 	for _, s := range seeds {
-		isSeed[s] = true
+		if !isSeed[s] {
+			isSeed[s] = true
+			distinct = append(distinct, s)
+		}
 	}
-	super := V(g.n)
-	b := NewBuilder(g.n + 1)
 
-	// Combined probability of seed influence per target vertex: start from
-	// "probability none fires" and multiply.
+	// Combined probability of seed influence per target vertex: noFire[v]
+	// is the probability that no seed edge into v fires, and hit marks the
+	// targets that have a seed edge at all. Along the way, count the edges
+	// the copy drops: every edge out of a seed plus every edge into one,
+	// less the seed-to-seed edges both sums include.
 	noFire := make([]float64, g.n)
-	touched := make([]V, 0, 64)
-	for i := range noFire {
-		noFire[i] = 1
-	}
-	for _, s := range seeds {
+	hit := make([]bool, g.n)
+	superDeg, dropped := 0, 0
+	for _, s := range distinct {
+		dropped += g.OutDegree(s) + g.InDegree(s)
 		to := g.OutNeighbors(s)
 		ps := g.OutProbs(s)
 		for i, v := range to {
 			if isSeed[v] {
-				continue // seeds are already active; edges into seeds are irrelevant
+				dropped-- // seeds are already active; edges into seeds are irrelevant
+				continue
 			}
-			if noFire[v] == 1 {
-				touched = append(touched, v)
+			if hit[v] {
+				noFire[v] *= 1 - ps[i]
+			} else {
+				hit[v] = true
+				noFire[v] = 1 - ps[i]
+				superDeg++
 			}
-			noFire[v] *= 1 - ps[i]
 		}
-	}
-	for _, v := range touched {
-		b.AddEdge(super, v, 1-noFire[v])
 	}
 
-	// Copy edges between non-seed vertices; drop any edge touching a seed.
-	for u := V(0); int(u) < g.n; u++ {
-		if isSeed[u] {
-			continue
-		}
-		to := g.OutNeighbors(u)
-		ps := g.OutProbs(u)
-		for i, v := range to {
-			if !isSeed[v] {
-				b.AddEdge(u, v, ps[i])
+	m := g.M() - dropped + superDeg
+	outStart := make([]int32, g.n+2)
+	outTo := make([]V, 0, m)
+	outP := make([]float64, 0, m)
+	for u := 0; u < g.n; u++ {
+		if !isSeed[u] {
+			for j := g.outStart[u]; j < g.outStart[u+1]; j++ {
+				if v := g.outTo[j]; !isSeed[v] {
+					outTo = append(outTo, v)
+					outP = append(outP, g.outP[j])
+				}
 			}
 		}
+		outStart[u+1] = int32(len(outTo))
 	}
-	return b.Build(), super
+	for v, ok := range hit {
+		if ok {
+			outTo = append(outTo, V(v))
+			outP = append(outP, 1-noFire[v])
+		}
+	}
+	outStart[g.n+1] = int32(len(outTo))
+	return NewFromCSR(g.n+1, outStart, outTo, outP), V(g.n)
 }
 
 // SpreadFromUnified converts an expected spread measured on the unified

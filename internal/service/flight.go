@@ -102,6 +102,9 @@ func (s *Server) observeCost(c *diag.SolveCost) {
 	if c.MigrateNS > 0 {
 		m.costSeconds.With("migrate").Observe(float64(c.MigrateNS) / 1e9)
 	}
+	if c.PrepareNS > 0 {
+		m.costSeconds.With("prepare").Observe(float64(c.PrepareNS) / 1e9)
+	}
 	if c.EvalNS > 0 {
 		m.costSeconds.With("eval").Observe(float64(c.EvalNS) / 1e9)
 	}

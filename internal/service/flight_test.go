@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/imin-dev/imin/internal/diag"
+	"github.com/imin-dev/imin/internal/obs"
 )
 
 // solveOnce posts one small deterministic solve against g1.
@@ -229,5 +230,52 @@ func TestCostBitNeutralThroughService(t *testing.T) {
 	}
 	if fmt.Sprint(base.Blockers) != fmt.Sprint(got.Blockers) {
 		t.Fatalf("blockers diverge with flight recorder armed: %v vs %v", base.Blockers, got.Blockers)
+	}
+}
+
+// TestSolveCostsInstanceBuild checks that a cold solve charges its
+// instance build (seed unification, candidate list, estimator scratch) to
+// prepare — the prepare_ns cost field, a prepare span and the
+// phase="prepare" histogram — while a repeat solve, which finds the
+// instance cached, omits prepare_ns. Tracing leaves the blockers alone.
+func TestSolveCostsInstanceBuild(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceRing: -1})
+	registerTestGraphs(t, ts)
+	req := SolveRequest{
+		Seeds: []int{5, 9}, Budget: 3, Algorithm: "advanced-greedy",
+		Theta: 300, Seed: 11, EvalRounds: -1, Trace: true,
+	}
+	var cold, warm SolveResponse
+	if code, body := postJSON(t, ts.URL+"/graphs/g1/solve", req, &cold); code != http.StatusOK {
+		t.Fatalf("cold solve: status %d, body %s", code, body)
+	}
+	if cold.Cost == nil || cold.Cost.PrepareNS <= 0 {
+		t.Fatalf("cold solve cost has no prepare_ns: %+v", cold.Cost)
+	}
+	var prepare *obs.SpanOut
+	for _, sp := range cold.Trace.Root.Children {
+		if sp.Name == "prepare" {
+			prepare = sp
+		}
+	}
+	if prepare == nil || len(prepare.Attrs) != 1 || prepare.Attrs[0] != (obs.Attr{Key: "built", Value: true}) {
+		t.Fatalf("cold trace prepare span = %+v", prepare)
+	}
+
+	req.Trace = false
+	code, body := postJSON(t, ts.URL+"/graphs/g1/solve", req, &warm)
+	if code != http.StatusOK {
+		t.Fatalf("warm solve: status %d, body %s", code, body)
+	}
+	if strings.Contains(body, "prepare_ns") {
+		t.Fatalf("warm solve reports prepare_ns: %s", body)
+	}
+	if fmt.Sprint(cold.Blockers) != fmt.Sprint(warm.Blockers) {
+		t.Fatalf("traced cold blockers %v != untraced warm %v", cold.Blockers, warm.Blockers)
+	}
+
+	_, vals := scrapeMetrics(t, ts.URL)
+	if n := vals[`imind_solve_cost_seconds_count{phase="prepare"}`]; n != 1 {
+		t.Fatalf("prepare cost histogram count = %v, want 1", n)
 	}
 }

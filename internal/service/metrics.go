@@ -47,7 +47,7 @@ type serverMetrics struct {
 	selfHeals      *obs.Counter
 
 	// Flight recorder: per-solve cost model and SLO watchdogs.
-	costSeconds    *obs.HistogramVec // phase = queue_session | queue_slot | migrate | solve | eval
+	costSeconds    *obs.HistogramVec // phase = queue_session | queue_slot | migrate | prepare | solve | eval
 	costSamples    *obs.HistogramVec // kind = drawn | dirty | stolen | redrawn
 	sloBreaches    *obs.CounterVec   // route = solve | mutate
 	bundles        *obs.Counter
@@ -120,7 +120,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Degraded graphs restored to writable by a self-heal checkpoint.")
 
 	m.costSeconds = reg.HistogramVec("imind_solve_cost_seconds",
-		"Per-solve cost model: wall time attributed to each phase (queue_session, queue_slot, migrate, solve, eval).",
+		"Per-solve cost model: wall time attributed to each phase (queue_session, queue_slot, migrate, prepare, solve, eval).",
 		obs.DefTimeBuckets, "phase")
 	m.costSamples = reg.HistogramVec("imind_solve_cost_samples",
 		"Per-solve cost model: sample counts by kind (drawn, dirty, stolen, redrawn).",

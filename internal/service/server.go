@@ -1103,9 +1103,10 @@ const maxRoundSpans = 128
 //
 // When tracing is on (ring enabled, or the request asked for an inline
 // trace) the solve's phases are recorded as spans: queue.session →
-// queue.slot → migrate → eval.before → solve (with per-round children) →
-// eval.after. The finished trace lands in the ring even when the solve
-// fails — shed and canceled requests are exactly the ones worth debugging.
+// queue.slot → migrate → prepare → eval.before → solve (with per-round
+// children) → eval.after. The finished trace lands in the ring even when
+// the solve fails — shed and canceled requests are exactly the ones worth
+// debugging.
 func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequest) (resp *SolveResponse, aerr *apiError) {
 	t0 := time.Now()
 	cost := &diag.SolveCost{}
@@ -1232,6 +1233,21 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 		cost.MigrateNS = time.Since(migrateStart).Nanoseconds()
 		cost.SamplesRedrawn = rep.SamplesRedrawn
 		cost.SamplesKept = rep.SamplesKept
+	}
+
+	// Build the seed set's instance (seed unification, candidate list,
+	// estimator scratch) as a step of its own, so a cold build is charged
+	// to prepare instead of to whichever later call first needs it.
+	prepareStart := time.Now()
+	prepareSpan := tr.StartSpan("prepare")
+	built, err := lh.Prepare(seeds)
+	prepareSpan.SetAttr("built", built)
+	prepareSpan.End()
+	if err != nil {
+		return nil, apiErrorf(http.StatusBadRequest, "%v", err)
+	}
+	if built {
+		cost.PrepareNS = time.Since(prepareStart).Nanoseconds()
 	}
 
 	timeout := s.cfg.DefaultTimeout

@@ -412,3 +412,27 @@ func TestReuseSamplesWarmPool(t *testing.T) {
 		t.Errorf("pool bytes = %d, want > 0", st.PoolBytes)
 	}
 }
+
+// A solve that lists a seed twice answers exactly like the request with the
+// repeat removed: same blockers, same before/after spreads.
+func TestSolveRepeatedSeedMatchesDistinct(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerTestGraphs(t, ts)
+	var rep, dist SolveResponse
+	for _, c := range []struct {
+		seeds []int
+		out   *SolveResponse
+	}{{[]int{5, 5, 9, 5}, &rep}, {[]int{5, 9}, &dist}} {
+		req := SolveRequest{Seeds: c.seeds, Budget: 3, Algorithm: "greedy-replace", Theta: 300, Seed: 11, EvalRounds: 500}
+		if code, body := postJSON(t, ts.URL+"/graphs/g1/solve", req, c.out); code != http.StatusOK {
+			t.Fatalf("seeds %v: status %d, body %s", c.seeds, code, body)
+		}
+	}
+	if len(dist.Blockers) == 0 || !reflect.DeepEqual(rep.Blockers, dist.Blockers) {
+		t.Fatalf("blockers %v for repeated seeds, %v for distinct", rep.Blockers, dist.Blockers)
+	}
+	if *rep.SpreadBefore != *dist.SpreadBefore || *rep.SpreadAfter != *dist.SpreadAfter {
+		t.Fatalf("spreads (%v, %v) for repeated seeds, (%v, %v) for distinct",
+			*rep.SpreadBefore, *rep.SpreadAfter, *dist.SpreadBefore, *dist.SpreadAfter)
+	}
+}
