@@ -94,8 +94,11 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 // ReadBinary deserializes a graph written by WriteBinary. Both the current
 // v2 format (CRC32 footer) and legacy v1 files (no footer) are accepted;
 // for v2 a checksum mismatch fails the load before the graph is trusted.
-// WriteBinary only ever stores probabilities in [0,1], so an edge whose
-// probability is NaN or out of range fails the load too.
+// The arrays must also form a CSR that NewFromCSR accepts: monotone
+// offsets, targets in range, and each row strictly ascending with no
+// self-loop. A row that breaks this fails the load with an error naming
+// it. A NaN probability fails it naming the edge; a finite one outside
+// [0,1] is clamped, as the other loaders do.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	cr := &crcReader{r: br}
@@ -120,21 +123,21 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if n > maxReasonable || m > maxReasonable {
 		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n, m)
 	}
-	g := &Graph{n: int(n)}
-	var err error
-	if g.outStart, err = readU32s(cr, int(n)+1); err != nil {
+	outStart, err := readU32s(cr, int(n)+1)
+	if err != nil {
 		return nil, err
 	}
-	if g.outTo, err = readU32s(cr, int(m)); err != nil {
+	outTo, err := readU32s(cr, int(m))
+	if err != nil {
 		return nil, err
 	}
-	g.outP = make([]float64, 0, min(m, readChunk))
+	outP := make([]float64, 0, min(m, readChunk))
 	buf := make([]byte, 8)
-	for uint64(len(g.outP)) < m {
+	for uint64(len(outP)) < m {
 		if _, err := io.ReadFull(cr, buf); err != nil {
 			return nil, fmt.Errorf("graph: reading probabilities: %w", err)
 		}
-		g.outP = append(g.outP, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+		outP = append(outP, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 	}
 	if version >= 2 {
 		// The footer is read outside the hashing tee: cr.crc now covers
@@ -147,28 +150,12 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: checksum mismatch (file %08x, computed %08x)", got, want)
 		}
 	}
-	// Validate the CSR before trusting it.
-	if g.outStart[0] != 0 || uint64(g.outStart[n]) != m {
-		return nil, fmt.Errorf("graph: corrupt CSR bounds")
-	}
-	for i := 0; i < int(n); i++ {
-		if g.outStart[i] > g.outStart[i+1] {
-			return nil, fmt.Errorf("graph: CSR offsets not monotone at %d", i)
+	for i, p := range outP {
+		if math.IsNaN(p) {
+			return nil, fmt.Errorf("graph: edge %d: probability is NaN", i)
 		}
 	}
-	for _, v := range g.outTo {
-		if uint64(v) >= n {
-			return nil, fmt.Errorf("graph: target %d out of range", v)
-		}
-	}
-	for i, p := range g.outP {
-		if !(p >= 0 && p <= 1) {
-			return nil, fmt.Errorf("graph: edge %d: probability %v outside [0,1]", i, p)
-		}
-	}
-	g.rebuildIn()
-	g.validate()
-	return g, nil
+	return newFromCSR(int(n), outStart, outTo, outP)
 }
 
 // rebuildIn reconstructs the in-CSR from the out-CSR.

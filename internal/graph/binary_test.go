@@ -180,20 +180,66 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// A probability WriteBinary could never have stored — NaN or outside
-// [0,1] — fails the load with the edge's index, even under a valid
-// checksum.
-func TestBinaryRejectsBadProbability(t *testing.T) {
-	for _, p := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1)} {
+// writeRaw serializes g's arrays as they are, with a valid checksum, so a
+// test can hand ReadBinary a file whose only fault is in its contents.
+func writeRaw(t *testing.T, g *Graph) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// A NaN probability fails the load with the edge's index, even under a
+// valid checksum.
+func TestBinaryRejectsNaNProbability(t *testing.T) {
+	g := toy().Clone()
+	g.outP[3] = math.NaN()
+	_, err := ReadBinary(writeRaw(t, g))
+	if err == nil || !strings.Contains(err.Error(), "edge 3") {
+		t.Errorf("err = %v, want an edge 3 error", err)
+	}
+}
+
+// A finite or infinite probability outside [0,1] is clamped on load, in
+// both CSRs, as Builder and NewFromCSR clamp it.
+func TestBinaryClampsOutOfRangeProbability(t *testing.T) {
+	for p, want := range map[float64]float64{-0.5: 0, 1.5: 1, math.Inf(1): 1, math.Inf(-1): 0} {
 		g := toy().Clone()
 		g.outP[3] = p
-		var buf bytes.Buffer
-		if err := g.WriteBinary(&buf); err != nil {
-			t.Fatal(err)
+		u, v := V(3), g.outTo[3] // slot 3 is toy's edge v4→v5
+		got, err := ReadBinary(writeRaw(t, g))
+		if err != nil {
+			t.Fatalf("p=%v: %v", p, err)
 		}
-		_, err := ReadBinary(&buf)
-		if err == nil || !strings.Contains(err.Error(), "edge 3") {
-			t.Errorf("p=%v: err = %v, want an edge 3 error", p, err)
+		if q := got.Prob(u, v); q != want {
+			t.Errorf("p=%v: out-CSR p(%d,%d) = %v, want %v", p, u, v, q, want)
+		}
+		for i, w := range got.InNeighbors(v) {
+			if w == u && got.InProbs(v)[i] != want {
+				t.Errorf("p=%v: in-CSR p(%d,%d) = %v, want %v", p, u, v, got.InProbs(v)[i], want)
+			}
+		}
+	}
+}
+
+// A row that is out of order, lists a target twice or holds a self-loop
+// breaks the CSR invariant every consumer relies on (UnifySeeds copies rows
+// as they are into NewFromCSR, which panics on them), so it fails the load
+// with the row named, even under a valid checksum.
+func TestBinaryRejectsMalformedRow(t *testing.T) {
+	const u = 4 // toy's v5, out-neighbors v3, v6, v8, v9
+	for name, corrupt := range map[string]func(row []V){
+		"unsorted":        func(row []V) { row[0], row[1] = row[1], row[0] },
+		"repeated target": func(row []V) { row[1] = row[0] },
+		"self-loop":       func(row []V) { row[0] = u },
+	} {
+		g := toy().Clone()
+		corrupt(g.outTo[g.outStart[u]:g.outStart[u+1]])
+		_, err := ReadBinary(writeRaw(t, g))
+		if err == nil || !strings.Contains(err.Error(), "row 4") {
+			t.Errorf("%s: err = %v, want a row 4 error", name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -8,45 +9,59 @@ import (
 // NewFromCSR builds a Graph directly from a forward CSR, taking ownership of
 // the three slices. It is the fast-path constructor for callers that already
 // hold adjacency in CSR form — the dynamic overlay's snapshot materialization
-// (and, transitively, every epoch commit) and UnifySeeds' multi-seed
-// reduction — and skips the Builder's edge-list sort entirely: the in-CSR is
-// rebuilt by counting sort, so the total cost is O(n + m) with no comparison
-// sorting.
+// (and, transitively, every epoch commit), UnifySeeds' multi-seed reduction
+// and ReadBinary — and skips the Builder's edge-list sort entirely: the
+// in-CSR is rebuilt by counting sort, so the total cost is O(n + m) with no
+// comparison sorting.
 //
 // Requirements (panics otherwise, like validate): outStart has n+1 monotone
 // entries bounding len(outTo); outTo and outP are parallel; every target is
-// in [0, n); each row's targets are strictly ascending (the invariant Builder
-// establishes and OutEdgeIndex's binary search relies on); probabilities are
-// clamped to [0, 1] in place rather than rejected, NaN becoming 0, matching
-// Builder.AddEdge.
+// in [0, n); each row's targets are strictly ascending with no self-loop
+// (the invariant Builder establishes and OutEdgeIndex's binary search relies
+// on); probabilities are clamped to [0, 1] in place rather than rejected,
+// NaN becoming 0, matching Builder.AddEdge.
 func NewFromCSR(n int, outStart []int32, outTo []V, outP []float64) *Graph {
+	g, err := newFromCSR(n, outStart, outTo, outP)
+	if err != nil {
+		panic(err.Error())
+	}
+	return g
+}
+
+// newFromCSR is NewFromCSR reporting a malformed CSR as an error, which
+// ReadBinary returns for a file that breaks the layout.
+func newFromCSR(n int, outStart []int32, outTo []V, outP []float64) (*Graph, error) {
 	if n < 0 {
-		panic("graph: negative vertex count")
+		return nil, errors.New("graph: negative vertex count")
 	}
 	if len(outStart) != n+1 {
-		panic(fmt.Sprintf("graph: outStart length %d for %d vertices", len(outStart), n))
+		return nil, fmt.Errorf("graph: outStart length %d for %d vertices", len(outStart), n)
 	}
 	if len(outTo) != len(outP) {
-		panic("graph: outTo/outP length mismatch")
+		return nil, errors.New("graph: outTo/outP length mismatch")
 	}
 	if outStart[0] != 0 || int(outStart[n]) != len(outTo) {
-		panic("graph: CSR bounds corrupt")
+		return nil, errors.New("graph: CSR bounds corrupt")
 	}
+	// All offsets are checked before any row is read, so every row below
+	// lies within outTo.
 	for u := 0; u < n; u++ {
 		if outStart[u] > outStart[u+1] {
-			panic(fmt.Sprintf("graph: CSR offsets not monotone at %d", u))
+			return nil, fmt.Errorf("graph: CSR offsets not monotone at %d", u)
 		}
+	}
+	for u := 0; u < n; u++ {
 		prev := V(-1)
 		for j := outStart[u]; j < outStart[u+1]; j++ {
 			v := outTo[j]
 			if v < 0 || int(v) >= n {
-				panic(fmt.Sprintf("graph: target %d out of range [0,%d)", v, n))
+				return nil, fmt.Errorf("graph: row %d: target %d out of range [0,%d)", u, v, n)
 			}
 			if v <= prev {
-				panic(fmt.Sprintf("graph: row %d targets not strictly ascending", u))
+				return nil, fmt.Errorf("graph: row %d: targets not strictly ascending", u)
 			}
 			if v == V(u) {
-				panic(fmt.Sprintf("graph: self-loop at %d", u))
+				return nil, fmt.Errorf("graph: row %d: self-loop", u)
 			}
 			prev = v
 		}
@@ -61,5 +76,5 @@ func NewFromCSR(n int, outStart []int32, outTo []V, outP []float64) *Graph {
 	g := &Graph{n: n, outStart: outStart, outTo: outTo, outP: outP}
 	g.rebuildIn()
 	g.validate()
-	return g
+	return g, nil
 }

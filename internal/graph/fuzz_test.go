@@ -64,27 +64,47 @@ func FuzzReadBinary(f *testing.F) {
 		c[pos] ^= 0xFF
 		f.Add(c)
 	}
+	// A checksummed file whose row 4 lists its targets out of order.
+	unsorted := toy().Clone()
+	row := unsorted.outTo[unsorted.outStart[4]:unsorted.outStart[5]]
+	row[0], row[1] = row[1], row[0]
+	buf.Reset()
+	if err := unsorted.WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// Accepted graphs must satisfy all CSR invariants (validate panics
-		// on violation, which the fuzzer reports as a crash).
+		// on violation, which the fuzzer reports as a crash): targets in
+		// range, each row strictly ascending with no self-loop.
 		if g.N() < 0 || g.M() < 0 {
 			t.Fatal("negative sizes")
 		}
 		for u := V(0); int(u) < g.N(); u++ {
+			prev := V(-1)
 			for _, v := range g.OutNeighbors(u) {
 				if v < 0 || int(v) >= g.N() {
 					t.Fatalf("edge target %d out of range", v)
 				}
+				if v <= prev || v == u {
+					t.Fatalf("row %d breaks the CSR order: %v", u, g.OutNeighbors(u))
+				}
+				prev = v
 			}
 			for _, p := range g.OutProbs(u) {
 				if !(p >= 0 && p <= 1) {
 					t.Fatalf("probability %v outside [0,1]", p)
 				}
 			}
+		}
+		// UnifySeeds copies rows as they are into NewFromCSR, so it is the
+		// consumer that panics first on a row the load let through.
+		if g.N() >= 2 {
+			g.UnifySeeds([]V{0, V(g.N() - 1)})
 		}
 	})
 }

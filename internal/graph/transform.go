@@ -125,20 +125,16 @@ func (g *Graph) UnifySeeds(seeds []V) (*Graph, V) {
 
 	// Combined probability of seed influence per target vertex: noFire[v]
 	// is the probability that no seed edge into v fires, and hit marks the
-	// targets that have a seed edge at all. Along the way, count the edges
-	// the copy drops: every edge out of a seed plus every edge into one,
-	// less the seed-to-seed edges both sums include.
+	// targets that have a seed edge at all.
 	noFire := make([]float64, g.n)
 	hit := make([]bool, g.n)
-	superDeg, dropped := 0, 0
+	superDeg := 0
 	for _, s := range distinct {
-		dropped += g.OutDegree(s) + g.InDegree(s)
 		to := g.OutNeighbors(s)
 		ps := g.OutProbs(s)
 		for i, v := range to {
 			if isSeed[v] {
-				dropped-- // seeds are already active; edges into seeds are irrelevant
-				continue
+				continue // seeds are already active; edges into seeds are irrelevant
 			}
 			if hit[v] {
 				noFire[v] *= 1 - ps[i]
@@ -150,10 +146,9 @@ func (g *Graph) UnifySeeds(seeds []V) (*Graph, V) {
 		}
 	}
 
-	m := g.M() - dropped + superDeg
 	outStart := make([]int32, g.n+2)
-	outTo := make([]V, 0, m)
-	outP := make([]float64, 0, m)
+	outTo := make([]V, 0, g.M()+superDeg)
+	outP := make([]float64, 0, g.M()+superDeg)
 	for u := 0; u < g.n; u++ {
 		if !isSeed[u] {
 			for j := g.outStart[u]; j < g.outStart[u+1]; j++ {

@@ -279,3 +279,27 @@ func TestSolveCostsInstanceBuild(t *testing.T) {
 		t.Fatalf("prepare cost histogram count = %v, want 1", n)
 	}
 }
+
+// TestRejectedSolveBuildsNoInstance checks that a request the service
+// rejects — here for an unknown pool_encoding — leaves the session's
+// instance cache alone: the next valid solve with the same seeds still
+// pays the build.
+func TestRejectedSolveBuildsNoInstance(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerTestGraphs(t, ts)
+	req := SolveRequest{
+		Seeds: []int{5, 9}, Budget: 3, Algorithm: "advanced-greedy",
+		Theta: 300, Seed: 11, EvalRounds: -1, PoolEncoding: "bogus",
+	}
+	if code, body := postJSON(t, ts.URL+"/graphs/g1/solve", req, nil); code != http.StatusBadRequest {
+		t.Fatalf("bogus pool_encoding: status %d, body %s", code, body)
+	}
+	req.PoolEncoding = ""
+	var resp SolveResponse
+	if code, body := postJSON(t, ts.URL+"/graphs/g1/solve", req, &resp); code != http.StatusOK {
+		t.Fatalf("valid solve: status %d, body %s", code, body)
+	}
+	if resp.Cost == nil || resp.Cost.PrepareNS <= 0 {
+		t.Fatalf("rejected request built the instance: cost %+v", resp.Cost)
+	}
+}

@@ -1235,21 +1235,6 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 		cost.SamplesKept = rep.SamplesKept
 	}
 
-	// Build the seed set's instance (seed unification, candidate list,
-	// estimator scratch) as a step of its own, so a cold build is charged
-	// to prepare instead of to whichever later call first needs it.
-	prepareStart := time.Now()
-	prepareSpan := tr.StartSpan("prepare")
-	built, err := lh.Prepare(seeds)
-	prepareSpan.SetAttr("built", built)
-	prepareSpan.End()
-	if err != nil {
-		return nil, apiErrorf(http.StatusBadRequest, "%v", err)
-	}
-	if built {
-		cost.PrepareNS = time.Since(prepareStart).Nanoseconds()
-	}
-
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -1311,6 +1296,23 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 		Workers:         workers,
 		SessionCacheHit: hit,
 		RequestID:       RequestID(ctx),
+	}
+
+	// Build the seed set's instance (seed unification, candidate list,
+	// estimator scratch) as a step of its own, so a cold build is charged
+	// to prepare instead of to whichever later call first needs it. It runs
+	// after every request check, so a rejected request never builds (or
+	// evicts) a warm instance.
+	prepareStart := time.Now()
+	prepareSpan := tr.StartSpan("prepare")
+	built, err := lh.Prepare(seeds)
+	prepareSpan.SetAttr("built", built)
+	prepareSpan.End()
+	if err != nil {
+		return nil, apiErrorf(http.StatusBadRequest, "%v", err)
+	}
+	if built {
+		cost.PrepareNS = time.Since(prepareStart).Nanoseconds()
 	}
 
 	var before float64
