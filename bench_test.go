@@ -162,31 +162,6 @@ func benchInstance(b *testing.B) (*graph.Graph, graph.V) {
 	return AssignProbabilities(g, Trivalency, 2), 0
 }
 
-// BenchmarkAblation_DominatorVariants compares Lengauer–Tarjan against
-// Semi-NCA inside the estimator's hot loop: identical output, different
-// constant factors.
-func BenchmarkAblation_DominatorVariants(b *testing.B) {
-	g, src := benchInstance(b)
-	for _, variant := range []struct {
-		name string
-		algo core.DomAlgo
-	}{
-		{"LengauerTarjan", core.DomLengauerTarjan},
-		{"SNCA", core.DomSNCA},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			est := core.NewEstimator(cascade.NewIC(g), 1, variant.algo)
-			delta := make([]float64, g.N())
-			r := rng.New(3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				est.DecreaseES(delta, src, nil, 2000, r)
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_ReachablePruning quantifies the sampler's key
 // optimization: materializing only the region reachable from the seed
 // versus flipping every edge of G as a literal reading of Algorithm 2
@@ -297,7 +272,7 @@ func BenchmarkAblation_EstimatorVsMCS(b *testing.B) {
 	g, src := benchInstance(b)
 	ic := cascade.NewIC(g)
 	b.Run("algorithm2-all-candidates", func(b *testing.B) {
-		est := core.NewEstimator(ic, 0, core.DomLengauerTarjan)
+		est := core.NewEstimator(ic, 0)
 		delta := make([]float64, g.N())
 		r := rng.New(6)
 		b.ResetTimer()

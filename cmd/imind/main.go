@@ -83,7 +83,6 @@ func main() {
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn or error (per-request lines log at debug)")
 		shutdownTO    = flag.Duration("shutdown-timeout", 30*time.Second, "how long graceful shutdown waits for in-flight solves to drain before closing their connections")
 		maxQueueWait  = flag.Duration("max-queue-wait", 5*time.Second, "max time a request may wait in an admission queue before being shed with 429 (0 = unbounded)")
-		degradedMode  = flag.Bool("degraded-mode", true, "serve reads and shed writes (503) when a graph's durable log fails, self-healing in the background; false restores plain 500s")
 		ckptRetries   = flag.Int("checkpoint-retries", 3, "retries for background checkpoints that fail transiently (ENOSPC etc)")
 		ckptBackoff   = flag.Duration("checkpoint-retry-backoff", 250*time.Millisecond, "initial backoff between background checkpoint retries (doubles per attempt)")
 		sloSolveMS    = flag.Int("slo-solve-ms", 0, "solve latency objective in ms; breaches log, count imind_slo_breaches_total and capture a diagnostic bundle (0 disables)")
@@ -133,7 +132,6 @@ func main() {
 		DataDir:                *dataDir,
 		Store:                  st,
 		MaxQueueWait:           *maxQueueWait,
-		DisableDegraded:        !*degradedMode,
 		CheckpointRetries:      *ckptRetries,
 		CheckpointRetryBackoff: *ckptBackoff,
 		Metrics:                metrics,

@@ -171,7 +171,7 @@ type SessionStats = core.SessionStats
 // partitions samples per worker, so a session built with workers=2 only
 // matches direct calls that also set Options.Workers=2.
 func NewSession(g *Graph, d Diffusion, workers int) *Session {
-	return core.NewSession(g, d, core.DomLengauerTarjan, workers)
+	return core.NewSession(g, d, workers)
 }
 
 // EstimateSpread estimates the expected spread E(S, G[V\B]) of a blocker
@@ -200,7 +200,7 @@ func ExactSpread(g *Graph, seed Vertex, blockers []Vertex, nodeBudget int) (floa
 // This is the estimator that powers AdvancedGreedy and GreedyReplace and
 // is useful on its own for ranking influential cut-points.
 func SpreadDecreasePerVertex(g *Graph, seed Vertex, theta int, rngSeed uint64) []float64 {
-	est := core.NewEstimator(cascade.NewIC(g), 0, core.DomLengauerTarjan)
+	est := core.NewEstimator(cascade.NewIC(g), 0)
 	delta := make([]float64, g.N())
 	est.DecreaseES(delta, seed, nil, theta, rng.New(rngSeed))
 	return delta

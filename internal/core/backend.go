@@ -53,10 +53,10 @@ func newEstBackend(in *instance, opt Options, base *rng.Source) *estBackend {
 	b := &estBackend{theta: opt.Theta, base: base}
 	sampler := in.sampler(opt.Diffusion)
 	if opt.ReuseSamples {
-		b.incr = NewIncrementalPooledEstimatorEnc(sampler, in.src, opt.Theta, opt.Workers, opt.DomAlgo, base.Split(^uint64(0)), opt.PoolEncoding)
+		b.incr = NewIncrementalPooledEstimator(sampler, in.src, opt.Theta, opt.Workers, base.Split(^uint64(0)))
 		b.drawn = int64(opt.Theta)
 	} else {
-		b.fresh = NewEstimator(sampler, opt.Workers, opt.DomAlgo)
+		b.fresh = NewEstimator(sampler, opt.Workers)
 	}
 	return b
 }

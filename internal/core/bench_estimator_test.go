@@ -59,7 +59,7 @@ func estBenchInstance(b *testing.B) *instance {
 // is exactly what both would pick live.
 func benchTrajectory(b *testing.B, in *instance, pool *SamplePool) []graph.V {
 	b.Helper()
-	est := NewPooledEstimatorFromPool(pool, 0, DomLengauerTarjan)
+	est := NewPooledEstimatorFromPool(pool, 0)
 	blocked := make([]bool, in.g.N())
 	delta := make([]float64, in.g.N())
 	traj := make([]graph.V, 0, estBenchRounds)
@@ -102,7 +102,7 @@ func BenchmarkDecreaseES_Fresh(b *testing.B) {
 	traj := benchTrajectory(b, in, pool)
 	blocked := make([]bool, in.g.N())
 	base := rng.New(7)
-	est := newEstBackendCached(NewEstimator(in.sampler(DiffusionIC), 0, DomLengauerTarjan), Options{Theta: estBenchTheta}, base)
+	est := newEstBackendCached(NewEstimator(in.sampler(DiffusionIC), 0), Options{Theta: estBenchTheta}, base)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		greedyRounds(in, est, traj, blocked)
@@ -115,7 +115,7 @@ func BenchmarkDecreaseES_Pooled(b *testing.B) {
 	pool := NewSamplePool(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7))
 	traj := benchTrajectory(b, in, pool)
 	blocked := make([]bool, in.g.N())
-	est := &estBackend{pooled: NewPooledEstimatorFromPool(pool, 0, DomLengauerTarjan), theta: estBenchTheta}
+	est := &estBackend{pooled: NewPooledEstimatorFromPool(pool, 0), theta: estBenchTheta}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		greedyRounds(in, est, traj, blocked)
@@ -132,27 +132,7 @@ func BenchmarkDecreaseES_Incremental(b *testing.B) {
 	// pays the priming scan, every later iteration's round 0 diffs away the
 	// previous iteration's blockers — the repeated-solve pattern the
 	// serving layer runs. Priming amortizes out over b.N.
-	incr := NewIncrementalPooledEstimatorFromPool(pool, 0, DomLengauerTarjan)
-	est := &estBackend{incr: incr, theta: estBenchTheta}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		greedyRounds(in, est, traj, blocked)
-	}
-	reportPerRound(b)
-	st := incr.Stats()
-	b.ReportMetric(float64(st.SamplesReprocessed)/float64(st.Rounds), "dirty-samples/round")
-}
-
-// BenchmarkDecreaseES_IncrementalCompressed is the incremental workload on
-// a compressed pool: the same dirty-only rounds, plus the per-dirty-sample
-// varint decode. The gap to BenchmarkDecreaseES_Incremental is the ns price
-// of the pool_bytes reduction.
-func BenchmarkDecreaseES_IncrementalCompressed(b *testing.B) {
-	in := estBenchInstance(b)
-	pool := NewSamplePoolEnc(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7), PoolCompressed)
-	traj := benchTrajectory(b, in, pool.decompress(0))
-	blocked := make([]bool, in.g.N())
-	incr := NewIncrementalPooledEstimatorFromPool(pool, 0, DomLengauerTarjan)
+	incr := NewIncrementalPooledEstimatorFromPool(pool, 0)
 	est := &estBackend{incr: incr, theta: estBenchTheta}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

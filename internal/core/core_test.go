@@ -23,7 +23,7 @@ func TestEstimatorMatchesExample2(t *testing.T) {
 	// Algorithm 2 on the toy graph must reproduce the exact Δ values of
 	// Example 2: Δ[v5]=4.66, Δ[v9]=1.11, Δ[v8]=0.66, Δ[v7]=0.06, others 1.
 	g := fixture.Toy()
-	est := NewEstimator(cascade.NewIC(g), 4, DomLengauerTarjan)
+	est := NewEstimator(cascade.NewIC(g), 4)
 	delta := make([]float64, g.N())
 	est.DecreaseES(delta, fixture.Seed, nil, 200000, rng.New(1))
 	want := fixture.Delta()
@@ -37,24 +37,9 @@ func TestEstimatorMatchesExample2(t *testing.T) {
 	}
 }
 
-func TestEstimatorSNCAAgrees(t *testing.T) {
-	g := fixture.Toy()
-	lt := NewEstimator(cascade.NewIC(g), 4, DomLengauerTarjan)
-	sn := NewEstimator(cascade.NewIC(g), 4, DomSNCA)
-	dLT := make([]float64, g.N())
-	dSN := make([]float64, g.N())
-	lt.DecreaseES(dLT, fixture.Seed, nil, 50000, rng.New(2))
-	sn.DecreaseES(dSN, fixture.Seed, nil, 50000, rng.New(2))
-	for v := range dLT {
-		if dLT[v] != dSN[v] {
-			t.Errorf("v%d: LT estimator %v != SNCA estimator %v", v+1, dLT[v], dSN[v])
-		}
-	}
-}
-
 func TestEstimatorDeterministic(t *testing.T) {
 	g := fixture.Toy()
-	est := NewEstimator(cascade.NewIC(g), 4, DomLengauerTarjan)
+	est := NewEstimator(cascade.NewIC(g), 4)
 	d1 := make([]float64, g.N())
 	d2 := make([]float64, g.N())
 	est.DecreaseES(d1, fixture.Seed, nil, 10000, rng.New(3))
@@ -68,7 +53,7 @@ func TestEstimatorDeterministic(t *testing.T) {
 
 func TestEstimatorRespectsBlocked(t *testing.T) {
 	g := fixture.Toy()
-	est := NewEstimator(cascade.NewIC(g), 2, DomLengauerTarjan)
+	est := NewEstimator(cascade.NewIC(g), 2)
 	blocked := make([]bool, g.N())
 	blocked[fixture.V5] = true
 	delta := make([]float64, g.N())
@@ -102,7 +87,7 @@ func TestEstimatorMatchesExactProperty(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		est := NewEstimator(cascade.NewIC(g), 2, DomLengauerTarjan)
+		est := NewEstimator(cascade.NewIC(g), 2)
 		delta := make([]float64, n)
 		est.DecreaseES(delta, 0, nil, 60000, rng.New(seed+1))
 		blocked := make([]bool, n)
@@ -520,7 +505,7 @@ func toBlocked(n int, blockers []graph.V) []bool {
 
 func BenchmarkDecreaseESToy(b *testing.B) {
 	g := fixture.Toy()
-	est := NewEstimator(cascade.NewIC(g), 1, DomLengauerTarjan)
+	est := NewEstimator(cascade.NewIC(g), 1)
 	delta := make([]float64, g.N())
 	r := rng.New(1)
 	b.ReportAllocs()

@@ -82,7 +82,7 @@ func TestLTEstimatorMatchesMCSProperty(t *testing.T) {
 		g := graph.WeightedCascade.Assign(bld.Build(), nil)
 		lt := cascade.NewLT(g)
 
-		est := NewEstimator(lt, 2, DomLengauerTarjan)
+		est := NewEstimator(lt, 2)
 		delta := make([]float64, n)
 		est.DecreaseES(delta, 0, nil, 40000, rng.New(seed+1))
 

@@ -95,7 +95,6 @@ type edgeEstimator struct {
 	src     graph.V
 	sampler cascade.LiveSampler
 	workers int
-	domAlgo DomAlgo
 }
 
 func newEdgeEstimator(g *graph.Graph, src graph.V, opt Options) *edgeEstimator {
@@ -109,7 +108,7 @@ func newEdgeEstimator(g *graph.Graph, src graph.V, opt Options) *edgeEstimator {
 	} else {
 		sampler = cascade.NewIC(g)
 	}
-	return &edgeEstimator{g: g, src: src, sampler: sampler, workers: workers, domAlgo: opt.DomAlgo}
+	return &edgeEstimator{g: g, src: src, sampler: sampler, workers: workers}
 }
 
 // decreaseES fills dst[i] (global out-CSR edge index) with the estimated
@@ -219,12 +218,7 @@ func (e *edgeEstimator) accumulateOne(st *edgeWorker, r *rng.Source, acc []int64
 	}
 
 	fg := dominator.FlowGraph{N: nSplit, OutStart: outStart, OutTo: outTo, InStart: inStart, InTo: inTo}
-	var tree *dominator.Tree
-	if e.domAlgo == DomSNCA {
-		tree = st.dws.SNCA(&fg, 0)
-	} else {
-		tree = st.dws.LengauerTarjan(&fg, 0)
-	}
+	tree := st.dws.SNCA(&fg, 0)
 	st.sizes = growI32(st.sizes, nSplit)
 	sizes := st.sizes[:nSplit]
 	st.dws.WeightedSubtreeSizes(tree, func(v int32) int32 {

@@ -20,17 +20,6 @@ import (
 	"github.com/imin-dev/imin/internal/rng"
 )
 
-// DomAlgo selects the dominator-tree algorithm used inside the estimator.
-type DomAlgo int
-
-const (
-	// DomLengauerTarjan is the paper's choice [53].
-	DomLengauerTarjan DomAlgo = iota
-	// DomSNCA is the Semi-NCA variant; identical output, different
-	// constant factors (see the ablation benchmarks).
-	DomSNCA
-)
-
 // Estimator implements DecreaseESComputation (Algorithm 2): it estimates,
 // for every candidate vertex u at once, the decrease of expected spread
 // Δ[u] = E({s},G) − E({s},G[V\{u}]) by averaging the size of u's dominator
@@ -43,7 +32,6 @@ const (
 type Estimator struct {
 	sampler cascade.LiveSampler
 	workers int
-	domAlgo DomAlgo
 	scratch []*estWorker
 }
 
@@ -56,11 +44,11 @@ type estWorker struct {
 
 // NewEstimator returns an Estimator over the sampler's graph. workers <= 0
 // selects GOMAXPROCS.
-func NewEstimator(sampler cascade.LiveSampler, workers int, domAlgo DomAlgo) *Estimator {
+func NewEstimator(sampler cascade.LiveSampler, workers int) *Estimator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Estimator{sampler: sampler, workers: workers, domAlgo: domAlgo}
+	return &Estimator{sampler: sampler, workers: workers}
 }
 
 // SetWorkers changes the fan-out of later DecreaseES calls; workers <= 0
@@ -98,8 +86,9 @@ func (e *Estimator) worker(w int) *estWorker {
 // dst of blocked vertices are 0. The estimate is deterministic for a fixed
 // (base seed, workers) pair.
 //
-// Cost: O(θ · m' · α(m',n')) where m' is the live-edge size of the sampled
-// reachable region — one Lengauer–Tarjan run plus one tree scan per sample.
+// Cost: per sample, one Semi-NCA dominator-tree run over the m' live edges
+// of the sampled reachable region (near-linear in m' in practice) plus one
+// tree scan — θ of each per call.
 func (e *Estimator) DecreaseES(dst []float64, src graph.V, blocked []bool, theta int, base *rng.Source) {
 	if theta <= 0 {
 		panic("core: DecreaseES with non-positive theta")
@@ -157,12 +146,7 @@ func (e *Estimator) accumulateOne(st *estWorker, src graph.V, blocked []bool, r 
 		InStart:  sg.InStart,
 		InTo:     sg.InTo,
 	}
-	var tree *dominator.Tree
-	if e.domAlgo == DomSNCA {
-		tree = st.dws.SNCA(&fg, 0)
-	} else {
-		tree = st.dws.LengauerTarjan(&fg, 0)
-	}
+	tree := st.dws.SNCA(&fg, 0)
 	sizes := st.sizes[:sg.K]
 	st.dws.SubtreeSizes(tree, sizes)
 	// Local id 0 is the source; it is never a candidate blocker.

@@ -59,15 +59,14 @@ import (
 type IncrementalPooledEstimator struct {
 	pool    *SamplePool
 	workers int // requested; len(shards) is the clamped effective count
-	domAlgo DomAlgo
 
 	primed      bool
 	prevBlocked []bool    // blocker set the cache reflects
 	vals        []float64 // vals[u] = float64(Σ_s acc_s[u])/θ, maintained at touched entries
 
-	// Per-sample contribution cache in arena form: sample i's entries
-	// occupy the first contribLen[i] slots of
-	// contrib{Vert,Size}[pool.contribBase(i):], which fits because a sample
+	// Per-sample contribution cache mirroring the pool's vertex arena:
+	// sample i's entries occupy the first contribLen[i] slots of
+	// contrib{Vert,Size}[pool.vertStart[i]:], which fits because a sample
 	// contributes at most K_i−1 (vertex, size) pairs. Slots of distinct
 	// samples are disjoint, so workers recompute dirty samples in parallel.
 	// The cache is partition-independent state: resharding reuses it to
@@ -141,27 +140,20 @@ func (sh *incShard) add(v graph.V, d int64) {
 	sh.acc[v] += d
 }
 
-// NewIncrementalPooledEstimator draws theta samples into a fresh flat pool
-// and wraps it. workers <= 0 selects GOMAXPROCS.
-func NewIncrementalPooledEstimator(sampler cascade.LiveSampler, src graph.V, theta, workers int, domAlgo DomAlgo, base *rng.Source) *IncrementalPooledEstimator {
-	return NewIncrementalPooledEstimatorEnc(sampler, src, theta, workers, domAlgo, base, PoolFlat)
-}
-
-// NewIncrementalPooledEstimatorEnc is NewIncrementalPooledEstimator with an
-// explicit pool arena layout; output is bit-identical across encodings.
-func NewIncrementalPooledEstimatorEnc(sampler cascade.LiveSampler, src graph.V, theta, workers int, domAlgo DomAlgo, base *rng.Source, enc PoolEncoding) *IncrementalPooledEstimator {
-	return NewIncrementalPooledEstimatorFromPool(NewSamplePoolEnc(sampler, src, theta, workers, base, enc), workers, domAlgo)
+// NewIncrementalPooledEstimator draws theta samples into a fresh pool and
+// wraps it. workers <= 0 selects GOMAXPROCS.
+func NewIncrementalPooledEstimator(sampler cascade.LiveSampler, src graph.V, theta, workers int, base *rng.Source) *IncrementalPooledEstimator {
+	return NewIncrementalPooledEstimatorFromPool(NewSamplePool(sampler, src, theta, workers, base), workers)
 }
 
 // NewIncrementalPooledEstimatorFromPool wraps an existing (possibly shared)
 // pool. The estimator's first DecreaseES call processes every sample to
 // prime the accumulators; later calls are incremental.
-func NewIncrementalPooledEstimatorFromPool(pool *SamplePool, workers int, domAlgo DomAlgo) *IncrementalPooledEstimator {
+func NewIncrementalPooledEstimatorFromPool(pool *SamplePool, workers int) *IncrementalPooledEstimator {
 	n := pool.g.N()
-	tv := pool.totalVertEntries()
+	tv := pool.vertStart[pool.Theta()]
 	e := &IncrementalPooledEstimator{
 		pool:        pool,
-		domAlgo:     domAlgo,
 		prevBlocked: make([]bool, n),
 		vals:        make([]float64, n),
 		contribLen:  make([]int32, pool.Theta()),
@@ -245,7 +237,7 @@ func (e *IncrementalPooledEstimator) reshard(workers int) {
 	}
 	for i := 0; i < theta; i++ {
 		acc := e.shards[e.ownerOf[i]].acc
-		base := e.pool.contribBase(i)
+		base := e.pool.vertStart[i]
 		for j := base; j < base+int64(e.contribLen[i]); j++ {
 			acc[e.contribVert[j]] += int64(e.contribSize[j])
 		}
@@ -329,24 +321,26 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 			copy(e.prevBlocked, blocked[:n])
 		}
 	case haveFlips:
-		mark := e.markDirty // hoisted: one method-value closure per round, not per flip
 		for _, v := range flips {
 			nb := blocked != nil && blocked[v]
 			if nb == e.prevBlocked[v] {
 				continue // duplicate flip, net no-op
 			}
 			e.prevBlocked[v] = nb
-			e.pool.samplesContaining(v, mark)
+			for _, i := range e.pool.SamplesContaining(v) {
+				e.markDirty(i)
+			}
 		}
 	default:
-		mark := e.markDirty
 		for v := 0; v < n; v++ {
 			nb := blocked != nil && blocked[v]
 			if nb == e.prevBlocked[v] {
 				continue
 			}
 			e.prevBlocked[v] = nb
-			e.pool.samplesContaining(graph.V(v), mark)
+			for _, i := range e.pool.SamplesContaining(graph.V(v)) {
+				e.markDirty(i)
+			}
 		}
 	}
 	nDirty := len(e.dirtyList)
@@ -562,14 +556,14 @@ func (e *IncrementalPooledEstimator) drain(from, to *incShard, blocked []bool, s
 // need not be owned by to: Σ_s acc_s stays exact wherever the deltas land.
 func (e *IncrementalPooledEstimator) processInto(to *incShard, samples []int32, blocked []bool) {
 	for _, i := range samples {
-		base := e.pool.contribBase(int(i))
+		base := e.pool.vertStart[i]
 		old := int64(e.contribLen[i])
 		for j := base; j < base+old; j++ {
 			to.add(e.contribVert[j], -int64(e.contribSize[j]))
 		}
 
 		e.pool.view(int(i), &to.sview)
-		forig, sizes := to.dominateSample(&to.sview, blocked, e.domAlgo)
+		forig, sizes := to.dominateSample(&to.sview, blocked)
 		e.contribLen[i] = int32(len(forig) - 1)
 		for fl := 1; fl < len(forig); fl++ {
 			v, sz := forig[fl], sizes[fl]
@@ -587,17 +581,16 @@ func (e *IncrementalPooledEstimator) processInto(to *incShard, samples []int32, 
 // and CSR rebuild are skipped and the dominator computation runs straight
 // off the view. Dominator trees are unique per flow graph, so both paths
 // return identical (vertex, size) contributions.
-func (st *filterScratch) dominateSample(s *sampleView, blocked []bool, domAlgo DomAlgo) ([]graph.V, []int32) {
+func (st *filterScratch) dominateSample(s *sampleView, blocked []bool) ([]graph.V, []int32) {
 	if blocked != nil {
 		for _, v := range s.orig {
 			if blocked[v] {
-				return st.filterAndDominate(s, blocked, domAlgo)
+				return st.filterAndDominate(s, blocked)
 			}
 		}
 	}
-	s.ensureInCSR() // compressed views derive it only when this path runs
 	fg := dominator.FlowGraph{N: len(s.orig), OutStart: s.outStart, OutTo: s.outTo, InStart: s.inStart, InTo: s.inTo}
-	return s.orig, st.runDominators(&fg, domAlgo)
+	return s.orig, st.runDominators(&fg)
 }
 
 // RepairPool swaps in a repaired pool (SamplePool.Repair) while keeping the
@@ -610,7 +603,7 @@ func (st *filterScratch) dominateSample(s *sampleView, blocked []bool, domAlgo D
 // blocker history, which is what keeps warm solves warm across mutations.
 //
 // newPool must come from a Repair of the estimator's current pool (same θ,
-// same streams, same encoding) with dirty as the returned redrawn-sample
+// same streams) with dirty as the returned redrawn-sample
 // list; the vertex count may only have grown. Must not be called
 // concurrently with DecreaseES; back-to-back repairs without an intervening
 // DecreaseES compose correctly.
@@ -641,7 +634,7 @@ func (e *IncrementalPooledEstimator) RepairPool(newPool *SamplePool, dirty []int
 		// No cached contributions to relocate; the priming round draws
 		// everything from the new pool anyway.
 		e.pool = newPool
-		tv := newPool.totalVertEntries()
+		tv := newPool.vertStart[newPool.Theta()]
 		e.contribVert = make([]graph.V, tv)
 		e.contribSize = make([]int32, tv)
 		return
@@ -650,13 +643,13 @@ func (e *IncrementalPooledEstimator) RepairPool(newPool *SamplePool, dirty []int
 	for _, i := range dirty {
 		isDirty[i] = true
 	}
-	tv := newPool.totalVertEntries()
+	tv := newPool.vertStart[newPool.Theta()]
 	nv := make([]graph.V, tv)
 	ns := make([]int32, tv)
 	for i := 0; i < old.Theta(); i++ {
 		if isDirty[i] {
 			sh := e.shards[e.ownerOf[i]]
-			base := old.contribBase(i)
+			base := old.vertStart[i]
 			for j := base; j < base+int64(e.contribLen[i]); j++ {
 				sh.add(e.contribVert[j], -int64(e.contribSize[j]))
 			}
@@ -666,7 +659,7 @@ func (e *IncrementalPooledEstimator) RepairPool(newPool *SamplePool, dirty []int
 			e.markDirty(int32(i))
 			continue
 		}
-		ob, nb := old.contribBase(i), newPool.contribBase(i)
+		ob, nb := old.vertStart[i], newPool.vertStart[i]
 		l := int64(e.contribLen[i])
 		copy(nv[nb:nb+l], e.contribVert[ob:ob+l])
 		copy(ns[nb:nb+l], e.contribSize[ob:ob+l])
@@ -742,7 +735,7 @@ func (e *IncrementalPooledEstimator) MemoryBytes() int64 {
 	for _, sh := range e.shards {
 		total += int64(cap(sh.acc))*8 + int64(cap(sh.marked)) +
 			int64(cap(sh.touched))*4 +
-			sh.memoryBytes() + sh.sview.memoryBytes()
+			sh.memoryBytes()
 	}
 	return total
 }

@@ -116,8 +116,8 @@ func TestIncrementalMatchesPooledBitIdentical(t *testing.T) {
 		g := bld.Build()
 
 		pool := NewSamplePool(cascade.NewIC(g), 0, 400, 3, rng.New(seed+100))
-		pooled := NewPooledEstimatorFromPool(pool, 3, DomLengauerTarjan)
-		incr := NewIncrementalPooledEstimatorFromPool(pool, 3, DomLengauerTarjan)
+		pooled := NewPooledEstimatorFromPool(pool, 3)
+		incr := NewIncrementalPooledEstimatorFromPool(pool, 3)
 
 		blocked := make([]bool, n)
 		dP := make([]float64, n)
@@ -201,7 +201,7 @@ func TestEstimatorsCrossValidateBlockerSets(t *testing.T) {
 				}
 				base := rng.New(opt.Seed)
 				pooledEst := NewPooledEstimator(
-					in.sampler(opt.Diffusion), in.src, theta, opt.Workers, opt.DomAlgo, base.Split(^uint64(0)))
+					in.sampler(opt.Diffusion), in.src, theta, opt.Workers, base.Split(^uint64(0)))
 				back := &estBackend{pooled: pooledEst, theta: theta, base: base}
 				var pooled Result
 				if alg == AdvancedGreedy {
@@ -227,7 +227,7 @@ func TestEstimatorsCrossValidateBlockerSets(t *testing.T) {
 // the paper's worked example, mirroring TestPooledEstimatorMatchesExample2.
 func TestIncrementalEstimatorMatchesExample2(t *testing.T) {
 	g := fixture.Toy()
-	e := NewIncrementalPooledEstimator(cascade.NewIC(g), fixture.Seed, 200000, 4, DomLengauerTarjan, rng.New(1))
+	e := NewIncrementalPooledEstimator(cascade.NewIC(g), fixture.Seed, 200000, 4, rng.New(1))
 	delta := make([]float64, g.N())
 	e.DecreaseES(delta, nil)
 	want := fixture.Delta()
@@ -255,7 +255,7 @@ func TestSessionWarmPoolReuse(t *testing.T) {
 		t.Fatalf("cold SampledGraphs = %d, want %d", cold.SampledGraphs, opt.Theta)
 	}
 
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionIC, 2)
 	for call := 0; call < 3; call++ {
 		res, err := sess.Solve(ctx, seeds, 5, AdvancedGreedy, opt)
 		if err != nil {
@@ -307,7 +307,7 @@ func TestSessionPoolLRUBound(t *testing.T) {
 	g := sessionTestGraph(200)
 	seeds := []graph.V{2, 3}
 	ctx := context.Background()
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionIC, 2)
 
 	for i := 0; i < 2*maxSessionPools; i++ {
 		opt := Options{Theta: 100, Seed: uint64(i + 1), Workers: 2, ReuseSamples: true}

@@ -61,21 +61,6 @@ type SamplePool struct {
 	// (sample, reached vertex) pair — exactly len(vertOrig) entries.
 	idxStart  []int64
 	idxSample []int32
-
-	// Compressed layout (enc == PoolCompressed; see PoolEncoding).
-	// csrInStart/inFrom and idxStart/idxSample above are nil: the in-CSR is
-	// derived per view from the out-CSR, and the inverted index lives as
-	// per-vertex delta-varint runs of encIdx at encIdxOff[v]. The offset
-	// arrays are narrowed to their int32 twins when the totals fit (the
-	// per-vertex encIdxOff is O(n) and would otherwise dominate a small
-	// pool's footprint) — read them only through sampleVertStart/
-	// sampleEdgeStart/encIdxRange.
-	enc         PoolEncoding
-	vertStart32 []int32
-	edgeStart32 []int32
-	encIdx      []byte
-	encIdxOff   []int64
-	encIdxOff32 []int32
 }
 
 // sampleView is a borrowed, zero-copy view of one pooled sample in the
@@ -86,19 +71,6 @@ type sampleView struct {
 	outTo    []int32
 	inStart  []int32
 	inTo     []int32
-
-	// Derivation scratch for compressed pools: view() rebuilds the unstored
-	// in-CSR into this owned buffer and points inStart/inTo at it. Flat
-	// pools borrow arena memory directly and leave it nil. Each worker
-	// holds its own persistent sampleView, so the buffer amortizes to zero
-	// allocations per round once grown to the largest sample seen.
-	i32Buf []int32
-}
-
-// memoryBytes reports the view's owned derivation buffer (zero for views
-// over flat pools, which borrow arena memory).
-func (v *sampleView) memoryBytes() int64 {
-	return int64(cap(v.i32Buf)) * 4
 }
 
 // poolWorkers resolves the worker count for pool construction and scans the
@@ -217,18 +189,6 @@ func NewSamplePool(sampler cascade.LiveSampler, src graph.V, theta, workers int,
 	return p
 }
 
-// NewSamplePoolEnc is NewSamplePool with an explicit arena layout. The pool
-// is drawn flat (the draw path is shared, so the logical content is
-// identical) and then converted, which keeps every encoding bit-identical
-// in what it stores — only the bytes that store it differ.
-func NewSamplePoolEnc(sampler cascade.LiveSampler, src graph.V, theta, workers int, base *rng.Source, enc PoolEncoding) *SamplePool {
-	p := NewSamplePool(sampler, src, theta, workers, base)
-	if enc == PoolCompressed {
-		p.compress(workers)
-	}
-	return p
-}
-
 // buildIndex fills the vertex → sample-ids CSR by counting sort over the
 // vertex arena. Sample ids come out ascending per vertex. The sort runs on
 // the same worker ranges as sampling: worker w counts and fills the entries
@@ -295,12 +255,7 @@ func (p *SamplePool) buildIndex(workers int) {
 }
 
 // Theta returns the number of stored samples.
-func (p *SamplePool) Theta() int {
-	if p.vertStart != nil {
-		return len(p.vertStart) - 1
-	}
-	return len(p.vertStart32) - 1
-}
+func (p *SamplePool) Theta() int { return len(p.vertStart) - 1 }
 
 // Graph returns the underlying graph.
 func (p *SamplePool) Graph() *graph.Graph { return p.g }
@@ -308,34 +263,8 @@ func (p *SamplePool) Graph() *graph.Graph { return p.g }
 // Source returns the source vertex the samples were drawn from.
 func (p *SamplePool) Source() graph.V { return p.src }
 
-// Encoding returns the pool's arena layout.
-func (p *SamplePool) Encoding() PoolEncoding { return p.enc }
-
-// sampleVertStart returns the vertex-arena offset of sample i, reading
-// whichever width the layout kept.
-func (p *SamplePool) sampleVertStart(i int) int64 {
-	if p.vertStart != nil {
-		return p.vertStart[i]
-	}
-	return int64(p.vertStart32[i])
-}
-
-// sampleEdgeStart returns the edge-arena offset of sample i.
-func (p *SamplePool) sampleEdgeStart(i int) int64 {
-	if p.edgeStart != nil {
-		return p.edgeStart[i]
-	}
-	return int64(p.edgeStart32[i])
-}
-
-// view fills v with sample i's data: borrowed arena slices for flat pools;
-// compressed pools borrow everything but the in-CSR, which is derived into
-// v's owned scratch (see sampleView).
+// view fills v with sample i's data as borrowed arena slices.
 func (p *SamplePool) view(i int, v *sampleView) {
-	if p.enc == PoolCompressed {
-		p.deriveView(i, v)
-		return
-	}
 	vs, ve := p.vertStart[i], p.vertStart[i+1]
 	cs := vs + int64(i)
 	es, ee := p.edgeStart[i], p.edgeStart[i+1]
@@ -347,63 +276,16 @@ func (p *SamplePool) view(i int, v *sampleView) {
 }
 
 // SamplesContaining returns the ascending ids of the samples whose reachable
-// region contains v. For flat pools the slice aliases pool storage (do not
-// modify); for compressed pools it is decoded into a fresh allocation — hot
-// paths use the streaming samplesContaining instead.
+// region contains v. The slice aliases pool storage: do not modify it.
 func (p *SamplePool) SamplesContaining(v graph.V) []int32 {
-	if p.enc == PoolCompressed {
-		var out []int32
-		p.samplesContaining(v, func(i int32) { out = append(out, i) })
-		return out
-	}
 	return p.idxSample[p.idxStart[v]:p.idxStart[v+1]]
 }
 
-// samplesContaining streams the ascending ids of the samples whose
-// reachable region contains v into fn. The callback form serves both
-// encodings: flat pools iterate the index CSR in place, compressed pools
-// decode the per-vertex varint run without materializing it.
-func (p *SamplePool) samplesContaining(v graph.V, fn func(int32)) {
-	if p.enc == PoolCompressed {
-		lo, hi := p.encIdxRange(int(v))
-		b := p.encIdx[lo:hi]
-		prev := int32(-1)
-		for pos := 0; pos < len(b); {
-			var d uint32
-			d, pos = getUvarint(b, pos)
-			prev += int32(d)
-			fn(prev)
-		}
-		return
-	}
-	for _, i := range p.idxSample[p.idxStart[v]:p.idxStart[v+1]] {
-		fn(i)
-	}
-}
-
-// contribBase returns sample i's base offset into per-vertex-entry arenas.
-// The incremental estimator's contribution cache mirrors the vertex arena
-// layout — one slot per (sample, reached vertex) pair — and this is the
-// layout accessor that stays valid for both encodings.
-func (p *SamplePool) contribBase(i int) int64 {
-	return p.sampleVertStart(i)
-}
-
-// totalVertEntries returns the total number of (sample, reached vertex)
-// pairs across the pool — the length of the per-vertex-entry arenas that
-// the contribution cache mirrors.
-func (p *SamplePool) totalVertEntries() int64 {
-	return p.sampleVertStart(p.Theta())
-}
-
-// MemoryBytes reports the pool's resident footprint — every backing array
-// either layout retains, at capacity — for capacity planning, /stats, and
-// the benchcore pool_bytes comparison between encodings.
+// MemoryBytes reports the pool's resident footprint — every backing array,
+// at capacity — for capacity planning, /stats, and benchcore's pool_bytes.
 func (p *SamplePool) MemoryBytes() int64 {
 	return int64(cap(p.vertStart))*8 + int64(cap(p.edgeStart))*8 +
-		int64(cap(p.vertStart32))*4 + int64(cap(p.edgeStart32))*4 +
 		int64(cap(p.vertOrig))*4 + int64(cap(p.csrStart))*4 + int64(cap(p.edgeTo))*4 +
 		int64(cap(p.csrInStart))*4 + int64(cap(p.inFrom))*4 +
-		int64(cap(p.idxStart))*8 + int64(cap(p.idxSample))*4 +
-		int64(cap(p.encIdx)) + int64(cap(p.encIdxOff))*8 + int64(cap(p.encIdxOff32))*4
+		int64(cap(p.idxStart))*8 + int64(cap(p.idxSample))*4
 }

@@ -36,23 +36,21 @@ import (
 type PooledEstimator struct {
 	pool    *SamplePool
 	workers int
-	domAlgo DomAlgo
 	scratch []*pooledWorker
 }
 
 // NewPooledEstimator draws theta samples from the sampler into a fresh pool
 // and wraps it. workers <= 0 selects GOMAXPROCS.
-func NewPooledEstimator(sampler cascade.LiveSampler, src graph.V, theta, workers int, domAlgo DomAlgo, base *rng.Source) *PooledEstimator {
-	return NewPooledEstimatorFromPool(NewSamplePool(sampler, src, theta, workers, base), workers, domAlgo)
+func NewPooledEstimator(sampler cascade.LiveSampler, src graph.V, theta, workers int, base *rng.Source) *PooledEstimator {
+	return NewPooledEstimatorFromPool(NewSamplePool(sampler, src, theta, workers, base), workers)
 }
 
 // NewPooledEstimatorFromPool wraps an existing pool without copying it; the
 // pool may be shared with other estimators.
-func NewPooledEstimatorFromPool(pool *SamplePool, workers int, domAlgo DomAlgo) *PooledEstimator {
+func NewPooledEstimatorFromPool(pool *SamplePool, workers int) *PooledEstimator {
 	return &PooledEstimator{
 		pool:    pool,
 		workers: poolWorkers(workers, pool.Theta()),
-		domAlgo: domAlgo,
 	}
 }
 
@@ -134,7 +132,7 @@ func (p *PooledEstimator) DecreaseES(dst []float64, blocked []bool) {
 			}
 			for i := lo; i < hi; i++ {
 				p.pool.view(i, &st.sview)
-				forig, sizes := st.filterAndDominate(&st.sview, blocked, p.domAlgo)
+				forig, sizes := st.filterAndDominate(&st.sview, blocked)
 				for fl := 1; fl < len(forig); fl++ {
 					st.acc[forig[fl]] += int64(sizes[fl])
 				}
@@ -161,7 +159,7 @@ func (p *PooledEstimator) DecreaseES(dst []float64, blocked []bool) {
 // G[V\B], so estimates built on the result stay unbiased for the blocked
 // graph. The returned slices alias scratch and are valid until the next
 // call.
-func (st *filterScratch) filterAndDominate(s *sampleView, blocked []bool, domAlgo DomAlgo) ([]graph.V, []int32) {
+func (st *filterScratch) filterAndDominate(s *sampleView, blocked []bool) ([]graph.V, []int32) {
 	k := len(s.orig)
 	st.stamp = growI32(st.stamp, k)
 	st.flocal = growI32(st.flocal, k)
@@ -247,19 +245,14 @@ func (st *filterScratch) filterAndDominate(s *sampleView, blocked []bool, domAlg
 	}
 
 	fg := dominator.FlowGraph{N: fk, OutStart: outStart, OutTo: outTo, InStart: inStart, InTo: inTo}
-	return st.forig, st.runDominators(&fg, domAlgo)
+	return st.forig, st.runDominators(&fg)
 }
 
-// runDominators computes the dominator tree of fg rooted at local 0 with
-// the selected algorithm and returns every vertex's dominator-subtree size
-// (aliasing scratch, valid until the next call).
-func (st *filterScratch) runDominators(fg *dominator.FlowGraph, domAlgo DomAlgo) []int32 {
-	var tree *dominator.Tree
-	if domAlgo == DomSNCA {
-		tree = st.dws.SNCA(fg, 0)
-	} else {
-		tree = st.dws.LengauerTarjan(fg, 0)
-	}
+// runDominators computes the dominator tree of fg rooted at local 0 and
+// returns every vertex's dominator-subtree size (aliasing scratch, valid
+// until the next call).
+func (st *filterScratch) runDominators(fg *dominator.FlowGraph) []int32 {
+	tree := st.dws.SNCA(fg, 0)
 	st.sizes = growI32(st.sizes, fg.N)
 	sizes := st.sizes[:fg.N]
 	st.dws.SubtreeSizes(tree, sizes)

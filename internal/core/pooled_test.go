@@ -12,7 +12,7 @@ import (
 
 func TestPooledEstimatorMatchesExample2(t *testing.T) {
 	g := fixture.Toy()
-	p := NewPooledEstimator(cascade.NewIC(g), fixture.Seed, 200000, 4, DomLengauerTarjan, rng.New(1))
+	p := NewPooledEstimator(cascade.NewIC(g), fixture.Seed, 200000, 4, rng.New(1))
 	delta := make([]float64, g.N())
 	p.DecreaseES(delta, nil)
 	want := fixture.Delta()
@@ -33,11 +33,11 @@ func TestPooledEstimatorWithBlockedMatchesFresh(t *testing.T) {
 	blocked := make([]bool, g.N())
 	blocked[fixture.V5] = true
 
-	p := NewPooledEstimator(cascade.NewIC(g), fixture.Seed, 100000, 4, DomLengauerTarjan, rng.New(2))
+	p := NewPooledEstimator(cascade.NewIC(g), fixture.Seed, 100000, 4, rng.New(2))
 	dPool := make([]float64, g.N())
 	p.DecreaseES(dPool, blocked)
 
-	fresh := NewEstimator(cascade.NewIC(g), 4, DomLengauerTarjan)
+	fresh := NewEstimator(cascade.NewIC(g), 4)
 	dFresh := make([]float64, g.N())
 	fresh.DecreaseES(dFresh, fixture.Seed, blocked, 100000, rng.New(3))
 
@@ -80,6 +80,32 @@ func TestReuseSamplesSolvesToyIdentically(t *testing.T) {
 		if res.SampledGraphs != int64(opt.Theta) {
 			t.Errorf("%s: SampledGraphs = %d, want %d (one pool)", alg, res.SampledGraphs, opt.Theta)
 		}
+	}
+}
+
+// TestPoolMemoryBytesAccountsEverything guards the /stats honesty contract:
+// a pool's MemoryBytes covers every backing array it holds, and an
+// estimator's covers the per-worker scratch its first rounds grow.
+func TestPoolMemoryBytesAccountsEverything(t *testing.T) {
+	g := denseTestGraph(100, 21)
+	const theta = 200
+	pool := NewSamplePool(cascade.NewIC(g), 0, theta, 2, rng.New(4))
+
+	want := int64(len(pool.vertStart))*8 + int64(len(pool.edgeStart))*8 +
+		int64(len(pool.vertOrig))*4 + int64(len(pool.csrStart))*4 + int64(len(pool.edgeTo))*4 +
+		int64(len(pool.csrInStart))*4 + int64(len(pool.inFrom))*4 +
+		int64(len(pool.idxStart))*8 + int64(len(pool.idxSample))*4
+	if got := pool.MemoryBytes(); got < want {
+		t.Errorf("MemoryBytes = %d, below the %d bytes of its own backing arrays", got, want)
+	}
+
+	est := NewIncrementalPooledEstimatorFromPool(pool, 2)
+	before := est.MemoryBytes()
+	blocked := make([]bool, g.N())
+	dst := make([]float64, g.N())
+	est.DecreaseES(dst, blocked)
+	if after := est.MemoryBytes(); after <= before {
+		t.Errorf("estimator MemoryBytes did not grow after priming (%d -> %d); worker scratch unaccounted", before, after)
 	}
 }
 
@@ -146,7 +172,7 @@ func BenchmarkPooledVsFreshRounds(b *testing.B) {
 		mustGen(b), rng.New(7))
 	const theta = 2000
 	b.Run("fresh", func(b *testing.B) {
-		est := NewEstimator(cascade.NewIC(g), 0, DomLengauerTarjan)
+		est := NewEstimator(cascade.NewIC(g), 0)
 		delta := make([]float64, g.N())
 		blocked := make([]bool, g.N())
 		base := rng.New(8)
@@ -162,7 +188,7 @@ func BenchmarkPooledVsFreshRounds(b *testing.B) {
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
-		p := NewPooledEstimator(cascade.NewIC(g), 0, theta, 0, DomLengauerTarjan, rng.New(8))
+		p := NewPooledEstimator(cascade.NewIC(g), 0, theta, 0, rng.New(8))
 		delta := make([]float64, g.N())
 		blocked := make([]bool, g.N())
 		b.ResetTimer()

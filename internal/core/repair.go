@@ -76,12 +76,12 @@ func (p *SamplePool) Repair(sampler cascade.LiveSampler, changed []graph.V, work
 		if v < 0 || int(v) >= oldN {
 			continue // vertices added after the draw appear in no stored sample
 		}
-		p.samplesContaining(v, func(i int32) {
+		for _, i := range p.SamplesContaining(v) {
 			if !mark[i] {
 				mark[i] = true
 				nDirty++
 			}
-		})
+		}
 	}
 	dirty := make([]int32, 0, nDirty)
 	for i := 0; i < theta; i++ {
@@ -93,36 +93,6 @@ func (p *SamplePool) Repair(sampler cascade.LiveSampler, changed []graph.V, work
 	if nDirty == 0 {
 		// Every sample replays identically: share the (immutable) arena and
 		// rebind the graph. The index is per-vertex and must cover new ids.
-		if p.enc == PoolCompressed {
-			q := &SamplePool{
-				g: newG, src: p.src, base: p.base, enc: PoolCompressed,
-				vertStart: p.vertStart, edgeStart: p.edgeStart,
-				vertStart32: p.vertStart32, edgeStart32: p.edgeStart32,
-				vertOrig: p.vertOrig, csrStart: p.csrStart, edgeTo: p.edgeTo,
-				encIdx: p.encIdx, encIdxOff: p.encIdxOff, encIdxOff32: p.encIdxOff32,
-			}
-			if n := newG.N(); n > oldN {
-				// Vertices added after the draw appear in no sample: their
-				// index runs are empty, so the offset array (whichever
-				// width survived narrowing) just repeats its final value.
-				if p.encIdxOff32 != nil {
-					off := make([]int32, n+1)
-					copy(off, p.encIdxOff32)
-					for v := oldN + 1; v <= n; v++ {
-						off[v] = off[oldN]
-					}
-					q.encIdxOff32 = off
-				} else {
-					off := make([]int64, n+1)
-					copy(off, p.encIdxOff)
-					for v := oldN + 1; v <= n; v++ {
-						off[v] = off[oldN]
-					}
-					q.encIdxOff = off
-				}
-			}
-			return q, dirty
-		}
 		q := &SamplePool{
 			g: newG, src: p.src, base: p.base,
 			vertStart: p.vertStart, edgeStart: p.edgeStart,
@@ -137,25 +107,11 @@ func (p *SamplePool) Repair(sampler cascade.LiveSampler, changed []graph.V, work
 		return q, dirty
 	}
 
-	if p.enc == PoolCompressed {
-		// Redrawing needs byte-level splicing of clean samples, which the
-		// flat layout gives for free; round-tripping through it keeps one
-		// proven repair path for both encodings. The repaired flat twin is
-		// bit-identical to repairing a never-compressed pool (the encoding
-		// is lossless), so re-encoding it preserves every cross-encoding
-		// identity at O(arena) cost — cheap next to the dirty redraws that
-		// brought us here.
-		w := poolWorkers(workers, theta)
-		q := p.decompress(w).repairDirty(sampler, newG, mark, dirty, workers)
-		q.compress(w)
-		return q, dirty
-	}
 	return p.repairDirty(sampler, newG, mark, dirty, workers), dirty
 }
 
-// repairDirty is the flat-layout redraw: dirty samples are re-sampled from
-// their original streams, everything else is byte-copied into a fresh
-// arena.
+// repairDirty redraws the dirty samples from their original streams and
+// byte-copies every other sample into a fresh arena.
 func (p *SamplePool) repairDirty(sampler cascade.LiveSampler, newG *graph.Graph, mark []bool, dirty []int32, workers int) *SamplePool {
 	theta := p.Theta()
 	nDirty := len(dirty)

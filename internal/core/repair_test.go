@@ -141,7 +141,7 @@ func TestIncrementalRepairMatchesRebuild(t *testing.T) {
 
 		for _, w := range []int{1, 2, 4, 8} {
 			pool := NewSamplePool(cascade.NewIC(g), 0, theta, 3, rng.New(seed+9))
-			est := NewIncrementalPooledEstimatorFromPool(pool, w, DomLengauerTarjan)
+			est := NewIncrementalPooledEstimatorFromPool(pool, w)
 
 			// Prime and walk a short greedy trajectory pre-mutation.
 			n := g.N()
@@ -164,7 +164,7 @@ func TestIncrementalRepairMatchesRebuild(t *testing.T) {
 				est.SetWorkers(2)
 			}
 
-			ref := NewIncrementalPooledEstimatorFromPool(freshPool, 3, DomLengauerTarjan)
+			ref := NewIncrementalPooledEstimatorFromPool(freshPool, 3)
 			refDst := make([]float64, n)
 			for round := 0; round < 4; round++ {
 				est.DecreaseES(dst, blocked)
@@ -194,7 +194,7 @@ func TestSessionAdvanceKeepsWarmSolvesExact(t *testing.T) {
 	seeds := []graph.V{1, 4, 9}
 	opt := Options{Theta: 300, Seed: 5, Workers: 2, ReuseSamples: true}
 
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionIC, 2)
 	if _, err := sess.Solve(ctx, seeds, 4, AdvancedGreedy, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSessionAdvanceVertexGrowth(t *testing.T) {
 		{"single-seed repairs", []graph.V{2}, 0},
 		{"multi-seed drops pools", []graph.V{2, 5}, 1},
 	} {
-		sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+		sess := NewSession(g, DiffusionIC, 2)
 		if _, err := sess.Solve(ctx, tc.seeds, 3, GreedyReplace, opt); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -359,7 +359,7 @@ func TestSessionAdvanceLTKeepsWarmSolvesExact(t *testing.T) {
 	seeds := []graph.V{1, 4, 9}
 	opt := Options{Theta: 300, Seed: 5, Workers: 2, ReuseSamples: true, Diffusion: DiffusionLT}
 
-	sess := NewSession(g, DiffusionLT, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionLT, 2)
 	if _, err := sess.Solve(ctx, seeds, 4, AdvancedGreedy, opt); err != nil {
 		t.Fatal(err)
 	}

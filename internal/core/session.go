@@ -18,28 +18,27 @@ import (
 // arrays per worker). A cold Solve pays all of that on every call; a warm
 // Session call with the same seed set skips straight to the greedy rounds.
 //
-// A Session is bound to (graph, diffusion, dominator algorithm) at
-// construction, plus a default worker count: Solve overrides the diffusion
-// and dominator Options fields with the session's own so cached scratch
-// always matches the run, while Options.Workers is honored per call (zero
-// falls back to the session default). Cached estimators are re-fanned with
-// SetWorkers instead of being rebuilt — pool content is worker-independent
-// (see NewSamplePool), so a warm session serves requests at any worker
-// count from the same cached samples, and ReuseSamples results are
-// bit-identical at every worker count. Solve serializes callers internally
-// — the estimator admits one DecreaseES stream at a time — so a Session is
-// safe for concurrent use, at the price of queueing (the wait is
-// context-aware: a canceled caller stops queueing immediately); run
-// independent graphs on independent Sessions.
+// A Session is bound to (graph, diffusion model) at construction, plus a
+// default worker count: Solve overrides Options.Diffusion with the
+// session's own so cached scratch always matches the run, while
+// Options.Workers is honored per call (zero falls back to the session
+// default). Cached estimators are re-fanned with SetWorkers instead of
+// being rebuilt — pool content is worker-independent (see NewSamplePool),
+// so a warm session serves requests at any worker count from the same
+// cached samples, and ReuseSamples results are bit-identical at every
+// worker count. Solve serializes callers internally — the estimator admits
+// one DecreaseES stream at a time — so a Session is safe for concurrent
+// use, at the price of queueing (the wait is context-aware: a canceled
+// caller stops queueing immediately); run independent graphs on
+// independent Sessions.
 //
 // Determinism is preserved: the cached estimator carries no randomness of
 // its own (each round's rng is split from the per-call Options.Seed), so a
 // warm Solve returns exactly the blockers a cold Solve with equal
-// (Seed, Theta) and the session's workers/diffusion/domAlgo would.
+// (Seed, Theta) and the session's workers/diffusion would.
 type Session struct {
 	g         *graph.Graph
 	diffusion Diffusion
-	domAlgo   DomAlgo
 	workers   int
 	epoch     uint64 // graph epoch the cached state reflects; guarded by lk
 
@@ -89,7 +88,6 @@ type sessionInstance struct {
 type sessionPool struct {
 	seed  uint64
 	theta int
-	enc   PoolEncoding
 	est   *IncrementalPooledEstimator
 	used  int64 // LRU tick, guarded by the session lock
 	bytes int64 // est.MemoryBytes() as last folded into the poolBytes gauge
@@ -122,15 +120,15 @@ type SessionStats struct {
 // GOMAXPROCS, matching Options.Workers semantics. The session starts at
 // graph epoch 0; use NewSessionAtEpoch when g is a later snapshot of a
 // dynamic graph.
-func NewSession(g *graph.Graph, diffusion Diffusion, domAlgo DomAlgo, workers int) *Session {
-	return NewSessionAtEpoch(g, diffusion, domAlgo, workers, 0)
+func NewSession(g *graph.Graph, diffusion Diffusion, workers int) *Session {
+	return NewSessionAtEpoch(g, diffusion, workers, 0)
 }
 
 // NewSessionAtEpoch is NewSession for a graph snapshot at a known epoch of
 // an epoch-versioned (dynamic) graph, so the serving layer can later detect
 // staleness by comparing Epoch against the graph's current epoch.
-func NewSessionAtEpoch(g *graph.Graph, diffusion Diffusion, domAlgo DomAlgo, workers int, epoch uint64) *Session {
-	return &Session{g: g, diffusion: diffusion, domAlgo: domAlgo, workers: workers, epoch: epoch, lk: make(chan struct{}, 1)}
+func NewSessionAtEpoch(g *graph.Graph, diffusion Diffusion, workers int, epoch uint64) *Session {
+	return &Session{g: g, diffusion: diffusion, workers: workers, epoch: epoch, lk: make(chan struct{}, 1)}
 }
 
 // lock acquires the session, giving up if ctx is canceled first: a caller
@@ -179,7 +177,7 @@ func (s *Session) prepare(seeds []graph.V) (si *sessionInstance, built bool, err
 		key:   key,
 		seeds: append([]graph.V(nil), seeds...),
 		in:    in,
-		est:   NewEstimator(in.sampler(s.diffusion), s.workers, s.domAlgo),
+		est:   NewEstimator(in.sampler(s.diffusion), s.workers),
 		used:  s.tick,
 	}
 	if len(s.insts) < maxSessionInstances {
@@ -213,7 +211,7 @@ func (s *Session) prepare(seeds []graph.V) (si *sessionInstance, built bool, err
 func (s *Session) warmPool(si *sessionInstance, opt Options) (sp *sessionPool, built bool) {
 	s.tick++
 	for _, c := range si.pools {
-		if c.seed == opt.Seed && c.theta == opt.Theta && c.enc == opt.PoolEncoding {
+		if c.seed == opt.Seed && c.theta == opt.Theta {
 			c.used = s.tick
 			c.est.SetWorkers(opt.Workers)
 			s.poolReuses.Add(1)
@@ -221,9 +219,8 @@ func (s *Session) warmPool(si *sessionInstance, opt Options) (sp *sessionPool, b
 		}
 	}
 	base := rng.New(opt.Seed)
-	est := NewIncrementalPooledEstimatorEnc(
-		si.est.Sampler(), si.in.src, opt.Theta, opt.Workers, s.domAlgo, base.Split(^uint64(0)), opt.PoolEncoding)
-	sp = &sessionPool{seed: opt.Seed, theta: opt.Theta, enc: opt.PoolEncoding, est: est, used: s.tick, bytes: est.MemoryBytes()}
+	est := NewIncrementalPooledEstimator(si.est.Sampler(), si.in.src, opt.Theta, opt.Workers, base.Split(^uint64(0)))
+	sp = &sessionPool{seed: opt.Seed, theta: opt.Theta, est: est, used: s.tick, bytes: est.MemoryBytes()}
 	if len(si.pools) < maxSessionPools {
 		si.pools = append(si.pools, sp)
 	} else {
@@ -375,7 +372,7 @@ func (h *LockedSession) Advance(g *graph.Graph, epoch uint64, changedSources, ch
 		}
 		si.pools = pools
 		si.in = in
-		si.est = NewEstimator(sampler, s.workers, s.domAlgo)
+		si.est = NewEstimator(sampler, s.workers)
 		kept = append(kept, si)
 		st.Instances++
 	}
@@ -425,7 +422,6 @@ func (h *LockedSession) Solve(ctx context.Context, seeds []graph.V, b int, alg A
 	s.stats.Solves++
 	opt = opt.withDefaults()
 	opt.Diffusion = s.diffusion
-	opt.DomAlgo = s.domAlgo
 	if opt.Workers == 0 {
 		opt.Workers = s.workers
 	}
@@ -471,12 +467,12 @@ func (h *LockedSession) EvaluateSpread(seeds []graph.V, blockers []graph.V, roun
 }
 
 // Solve is SolveContext through the session's cached state. The session's
-// diffusion model and dominator algorithm override the corresponding
-// Options fields so cached scratch always matches the run; Options.Workers
-// is honored (zero uses the session default) by re-fanning the cached
-// estimators. With Options that agree on those fields it returns results
-// identical to SolveContext. Canceling ctx while queued for the session
-// returns ctx.Err() without solving.
+// diffusion model overrides Options.Diffusion so cached scratch always
+// matches the run; Options.Workers is honored (zero uses the session
+// default) by re-fanning the cached estimators. With Options that agree on
+// the diffusion model it returns results identical to SolveContext.
+// Canceling ctx while queued for the session returns ctx.Err() without
+// solving.
 func (s *Session) Solve(ctx context.Context, seeds []graph.V, b int, alg Algorithm, opt Options) (Result, error) {
 	h, err := s.Acquire(ctx)
 	if err != nil {

@@ -17,13 +17,13 @@ func sessionTestGraph(n int) *graph.Graph {
 }
 
 // A warm Session must select exactly the blockers a cold Solve picks for
-// the same (Seed, Theta, Workers, Diffusion, DomAlgo) — the cached
+// the same (Seed, Theta, Workers, Diffusion) — the cached
 // estimator carries no per-run state.
 func TestSessionMatchesSolve(t *testing.T) {
 	g := sessionTestGraph(400)
 	seeds := []graph.V{1, 5, 9}
 	opt := Options{Theta: 200, Seed: 7, Workers: 2}
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionIC, 2)
 
 	for _, alg := range []Algorithm{AdvancedGreedy, GreedyReplace, OutDegree, Rand} {
 		direct, err := Solve(g, seeds, 6, alg, opt)
@@ -57,7 +57,7 @@ func TestSessionMatchesSolve(t *testing.T) {
 // rebuild), not silently reuse the old one.
 func TestSessionRebuildsOnSeedChange(t *testing.T) {
 	g := sessionTestGraph(200)
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionIC, 2)
 	opt := Options{Theta: 100, Seed: 3, Workers: 2}
 	ctx := context.Background()
 
@@ -88,7 +88,7 @@ func TestSessionRebuildsOnSeedChange(t *testing.T) {
 // rebuild once each, not on every call.
 func TestSessionInterleavedSeedSets(t *testing.T) {
 	g := sessionTestGraph(200)
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionIC, 2)
 	opt := Options{Theta: 100, Seed: 3, Workers: 2}
 	ctx := context.Background()
 	setA, setB := []graph.V{0, 1}, []graph.V{2, 3}
@@ -127,7 +127,7 @@ func TestSessionEvaluateSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionIC, 2)
 	got, err := sess.EvaluateSpread(context.Background(), seeds, blockers, 2000, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestSessionEvaluateSpread(t *testing.T) {
 // queueing with ctx.Err() instead of blocking until the session frees.
 func TestSessionLockContextAware(t *testing.T) {
 	g := sessionTestGraph(100)
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 1)
+	sess := NewSession(g, DiffusionIC, 1)
 	if err := sess.lock(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestLockedSessionPrepare(t *testing.T) {
 	g := sessionTestGraph(300)
 	seeds := []graph.V{2, 8, 40}
 	opt := Options{Theta: 150, Seed: 5, Workers: 1}
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 1)
+	sess := NewSession(g, DiffusionIC, 1)
 	h, err := sess.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func TestSessionWorkerCountChangeKeepsPool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sess := NewSession(g, DiffusionIC, DomLengauerTarjan, 2)
+	sess := NewSession(g, DiffusionIC, 2)
 	for _, workers := range []int{1, 4, 2, 8, 1} {
 		opt := base
 		opt.Workers = workers
@@ -105,11 +105,11 @@ func TestWorkersExceedTheta(t *testing.T) {
 		t.Fatal("pool content differs between workers=64 and workers=1")
 	}
 
-	incr := NewIncrementalPooledEstimatorFromPool(pool, 64, DomLengauerTarjan)
+	incr := NewIncrementalPooledEstimatorFromPool(pool, 64)
 	if got := len(incr.shards); got != theta {
 		t.Fatalf("shard count = %d, want clamp to θ = %d", got, theta)
 	}
-	pooled := NewPooledEstimatorFromPool(pool, 64, DomLengauerTarjan)
+	pooled := NewPooledEstimatorFromPool(pool, 64)
 	n := g.N()
 	blocked := make([]bool, n)
 	dI := make([]float64, n)
@@ -138,8 +138,8 @@ func TestParallelDecreaseESFlipsMatchesPooled(t *testing.T) {
 	g := denseTestGraph(150, 12)
 	n := g.N()
 	pool := NewSamplePool(cascade.NewIC(g), 0, 600, 4, rng.New(7))
-	incr := NewIncrementalPooledEstimatorFromPool(pool, 4, DomLengauerTarjan)
-	pooled := NewPooledEstimatorFromPool(pool, 1, DomLengauerTarjan)
+	incr := NewIncrementalPooledEstimatorFromPool(pool, 4)
+	pooled := NewPooledEstimatorFromPool(pool, 1)
 
 	blocked := make([]bool, n)
 	dI := make([]float64, n)
@@ -190,8 +190,8 @@ func TestSetWorkersMidTrajectory(t *testing.T) {
 	g := denseTestGraph(100, 13)
 	n := g.N()
 	pool := NewSamplePool(cascade.NewIC(g), 0, 350, 2, rng.New(5))
-	incr := NewIncrementalPooledEstimatorFromPool(pool, 1, DomLengauerTarjan)
-	pooled := NewPooledEstimatorFromPool(pool, 3, DomLengauerTarjan)
+	incr := NewIncrementalPooledEstimatorFromPool(pool, 1)
+	pooled := NewPooledEstimatorFromPool(pool, 3)
 
 	blocked := make([]bool, n)
 	dI := make([]float64, n)

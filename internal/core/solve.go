@@ -57,19 +57,11 @@ type Options struct {
 	Seed uint64
 	// Diffusion selects IC (default) or LT.
 	Diffusion Diffusion
-	// DomAlgo selects the dominator algorithm inside the estimator.
-	DomAlgo DomAlgo
 	// ReuseSamples draws the θ live-edge samples once and reuses the pool
 	// across greedy rounds (common random numbers) instead of resampling
 	// every round — the DESIGN.md §6 "sampling reuse" variant, implemented
 	// by PooledEstimator. Costs memory proportional to θ × sample size.
 	ReuseSamples bool
-	// PoolEncoding selects the arena layout of ReuseSamples pools: PoolFlat
-	// (default, fastest scans) or PoolCompressed (delta+varint sections,
-	// typically well under half the bytes at a small per-dirty-sample
-	// decode cost). Results are bit-identical across encodings; ignored
-	// when ReuseSamples is false.
-	PoolEncoding PoolEncoding
 	// Timeout aborts the run after the given duration, returning the
 	// blockers selected so far with Result.TimedOut set. Zero means no
 	// limit. (The paper caps runs at 24 hours; Figure 7/8 report BG timing

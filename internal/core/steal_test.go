@@ -55,8 +55,8 @@ func TestSkewedDirtyBatchBitIdentical(t *testing.T) {
 	g := denseTestGraph(120, 31)
 	const theta = 256
 	pool := NewSamplePool(cascade.NewIC(g), 0, theta, 4, rng.New(7))
-	inc4 := NewIncrementalPooledEstimatorFromPool(pool, 4, DomLengauerTarjan)
-	inc1 := NewIncrementalPooledEstimatorFromPool(pool, 1, DomLengauerTarjan)
+	inc4 := NewIncrementalPooledEstimatorFromPool(pool, 4)
+	inc1 := NewIncrementalPooledEstimatorFromPool(pool, 1)
 
 	n := g.N()
 	blocked := make([]bool, n)
@@ -136,8 +136,8 @@ func TestStealDrainFoldsIntoThief(t *testing.T) {
 	g := denseTestGraph(100, 13)
 	const theta = 200
 	pool := NewSamplePool(cascade.NewIC(g), 0, theta, 4, rng.New(21))
-	est := NewIncrementalPooledEstimatorFromPool(pool, 4, DomLengauerTarjan)
-	ref := NewPooledEstimatorFromPool(pool, 2, DomLengauerTarjan)
+	est := NewIncrementalPooledEstimatorFromPool(pool, 4)
+	ref := NewPooledEstimatorFromPool(pool, 2)
 
 	n := g.N()
 	blocked := make([]bool, n)
@@ -197,8 +197,8 @@ func TestParallelReductionLargeRound(t *testing.T) {
 	g := denseTestGraph(400, 5)
 	const theta = 300
 	pool := NewSamplePool(cascade.NewIC(g), 0, theta, 4, rng.New(11))
-	inc8 := NewIncrementalPooledEstimatorFromPool(pool, 8, DomLengauerTarjan)
-	inc1 := NewIncrementalPooledEstimatorFromPool(pool, 1, DomLengauerTarjan)
+	inc8 := NewIncrementalPooledEstimatorFromPool(pool, 8)
+	inc1 := NewIncrementalPooledEstimatorFromPool(pool, 1)
 
 	n := g.N()
 	blocked := make([]bool, n)
@@ -228,8 +228,8 @@ func TestParallelReductionLargeRound(t *testing.T) {
 func TestSkewedCascadeStealBitIdentical(t *testing.T) {
 	g := datasets.SkewedCascade(3000, 8, 0.1, 0.03, rng.New(21))
 	pool := NewSamplePool(cascade.NewIC(g), 0, 400, 4, rng.New(22))
-	ref := NewIncrementalPooledEstimatorFromPool(pool, 1, DomLengauerTarjan)
-	par := NewIncrementalPooledEstimatorFromPool(pool, 4, DomLengauerTarjan)
+	ref := NewIncrementalPooledEstimatorFromPool(pool, 1)
+	par := NewIncrementalPooledEstimatorFromPool(pool, 4)
 	blocked := make([]bool, g.N())
 	dR := make([]float64, g.N())
 	dP := make([]float64, g.N())

@@ -8,12 +8,13 @@
 // of u's subtree in the dominator tree, which turns per-candidate spread
 // recomputation into a single tree scan.
 //
-// Two O(m·α)-ish algorithms are provided: the classic Lengauer–Tarjan
-// algorithm with path compression (the paper's choice, [53]) and the
-// Semi-NCA variant of Georgiadis & Tarjan, which computes identical trees
-// with a simpler final phase; the benchmark suite compares them. A naive
-// O(n·(n+m)) vertex-removal algorithm serves as the correctness oracle in
-// tests.
+// The tree is computed by the Semi-NCA algorithm of Georgiadis & Tarjan:
+// Lengauer–Tarjan's semidominators [53] followed by one nearest-common-
+// ancestor pass. Every correct algorithm returns the same tree, so this is
+// a cost choice only; Semi-NCA measured faster than the paper's
+// Lengauer–Tarjan on the estimator's sampled graphs. A naive O(n·(n+m))
+// vertex-removal algorithm serves as the correctness oracle in tests and
+// in FuzzDominatorTree.
 //
 // All computations run inside a caller-owned Workspace, so the per-sample
 // cost in the estimator's hot loop is allocation-free.
@@ -50,18 +51,15 @@ type Tree struct {
 
 // Workspace holds reusable scratch space for dominator computations.
 type Workspace struct {
-	dfn        []int32 // DFS preorder number, 1-based; 0 = unreachable
-	vertex     []int32 // vertex[i] = v with dfn[v] == i
-	parent     []int32 // DFS tree parent
-	semi       []int32 // semidominator as a DFS number
-	ancestor   []int32 // eval-forest parent, -1 = tree root
-	label      []int32
-	idom       []int32
-	bucketHead []int32
-	bucketNext []int32
-	size       []int32
-	stack      []int32 // shared scratch for DFS frames and path compression
-	stackIdx   []int32 // neighbor cursor parallel to DFS stack
+	dfn      []int32 // DFS preorder number, 1-based; 0 = unreachable
+	vertex   []int32 // vertex[i] = v with dfn[v] == i
+	parent   []int32 // DFS tree parent
+	semi     []int32 // semidominator as a DFS number
+	ancestor []int32 // eval-forest parent, -1 = tree root
+	label    []int32
+	idom     []int32
+	stack    []int32 // shared scratch for DFS frames and path compression
+	stackIdx []int32 // neighbor cursor parallel to DFS stack
 }
 
 // NewWorkspace returns a Workspace able to handle graphs of up to n
@@ -72,13 +70,13 @@ func NewWorkspace(n int) *Workspace {
 	return ws
 }
 
-// MemoryBytes reports the workspace's resident scratch footprint — twelve
+// MemoryBytes reports the workspace's resident scratch footprint — nine
 // int32 arrays grown to the largest graph seen — for the serving layer's
 // capacity gauges.
 func (ws *Workspace) MemoryBytes() int64 {
 	total := int64(0)
 	for _, s := range [][]int32{ws.dfn, ws.vertex, ws.parent, ws.semi, ws.ancestor, ws.label,
-		ws.idom, ws.bucketHead, ws.bucketNext, ws.size, ws.stack, ws.stackIdx} {
+		ws.idom, ws.stack, ws.stackIdx} {
 		total += int64(cap(s)) * 4
 	}
 	return total
@@ -96,9 +94,6 @@ func (ws *Workspace) grow(n int) {
 	ws.ancestor = make([]int32, c)
 	ws.label = make([]int32, c)
 	ws.idom = make([]int32, c)
-	ws.bucketHead = make([]int32, c)
-	ws.bucketNext = make([]int32, c)
-	ws.size = make([]int32, c)
 	ws.stack = make([]int32, 0, c)
 	ws.stackIdx = make([]int32, 0, c)
 }

@@ -33,15 +33,34 @@ func build(n int, edges [][2]int32) *FlowGraph {
 	return fg
 }
 
-// toyFlow is the Figure 1 graph's structure (ids: v(i+1) = i).
-func toyFlow() *FlowGraph {
-	return build(9, [][2]int32{
-		{0, 1}, {0, 3},
-		{1, 4}, {3, 4},
-		{4, 2}, {4, 5}, {4, 8},
-		{4, 7}, {8, 7},
-		{7, 6},
-	})
+// toyEdges is the Figure 1 graph's structure (ids: v(i+1) = i).
+var toyEdges = [][2]int32{
+	{0, 1}, {0, 3},
+	{1, 4}, {3, 4},
+	{4, 2}, {4, 5}, {4, 8},
+	{4, 7}, {8, 7},
+	{7, 6},
+}
+
+func toyFlow() *FlowGraph { return build(9, toyEdges) }
+
+// ltPaperEdges is the example flow graph from the original Lengauer–Tarjan
+// paper (Fig. 1 of [53]), a 13-vertex irreducible graph.
+// Vertices: R=0 A=1 B=2 C=3 D=4 E=5 F=6 G=7 H=8 I=9 J=10 K=11 L=12
+var ltPaperEdges = [][2]int32{
+	{0, 1}, {0, 2}, {0, 3},
+	{1, 4},
+	{2, 1}, {2, 4}, {2, 5},
+	{3, 6}, {3, 7},
+	{4, 12},
+	{5, 8},
+	{6, 9},
+	{7, 9}, {7, 10},
+	{8, 5}, {8, 11},
+	{9, 11},
+	{10, 9},
+	{11, 9}, {11, 0},
+	{12, 8},
 }
 
 func TestToyDominatorTree(t *testing.T) {
@@ -53,19 +72,13 @@ func TestToyDominatorTree(t *testing.T) {
 		7: 4, // v8 under v5 (reachable via v5 directly and via v9)
 		6: 7, // v7 under v8
 	}
-	for name, algo := range map[string]func(*Workspace, *FlowGraph, int32) *Tree{
-		"LengauerTarjan": (*Workspace).LengauerTarjan,
-		"SNCA":           (*Workspace).SNCA,
-	} {
-		ws := NewWorkspace(fg.N)
-		tr := algo(ws, fg, 0)
-		if tr.Reached != 9 {
-			t.Errorf("%s: reached %d, want 9", name, tr.Reached)
-		}
-		for v, w := range want {
-			if tr.Idom[v] != w {
-				t.Errorf("%s: idom(%d) = %d, want %d", name, v, tr.Idom[v], w)
-			}
+	tr := NewWorkspace(fg.N).SNCA(fg, 0)
+	if tr.Reached != 9 {
+		t.Errorf("reached %d, want 9", tr.Reached)
+	}
+	for v, w := range want {
+		if tr.Idom[v] != w {
+			t.Errorf("idom(%d) = %d, want %d", v, tr.Idom[v], w)
 		}
 	}
 }
@@ -73,7 +86,7 @@ func TestToyDominatorTree(t *testing.T) {
 func TestToySubtreeSizes(t *testing.T) {
 	fg := toyFlow()
 	ws := NewWorkspace(fg.N)
-	tr := ws.LengauerTarjan(fg, 0)
+	tr := ws.SNCA(fg, 0)
 	sizes := make([]int32, fg.N)
 	ws.SubtreeSizes(tr, sizes)
 	// Full structural graph (all edges live): v5's subtree is
@@ -87,55 +100,32 @@ func TestToySubtreeSizes(t *testing.T) {
 	naive := NaiveSubtreeSizes(fg, 0)
 	for v := range naive {
 		if naive[v] != sizes[v] {
-			t.Errorf("naive subtree(%d) = %d, LT says %d", v, naive[v], sizes[v])
+			t.Errorf("naive subtree(%d) = %d, SNCA says %d", v, naive[v], sizes[v])
 		}
 	}
 }
 
-// TestLengauerTarjanPaperExample uses the example flow graph from the
-// original Lengauer–Tarjan paper (Fig. 1 of [53]), a 13-vertex irreducible
-// graph with well-known immediate dominators.
+// TestLengauerTarjanPaperExample runs SNCA on ltPaperEdges, whose immediate
+// dominators are well known.
 func TestLengauerTarjanPaperExample(t *testing.T) {
-	// Vertices: R=0 A=1 B=2 C=3 D=4 E=5 F=6 G=7 H=8 I=9 J=10 K=11 L=12
-	edges := [][2]int32{
-		{0, 1}, {0, 2}, {0, 3},
-		{1, 4},
-		{2, 1}, {2, 4}, {2, 5},
-		{3, 6}, {3, 7},
-		{4, 12},
-		{5, 8},
-		{6, 9},
-		{7, 9}, {7, 10},
-		{8, 5}, {8, 11},
-		{9, 11},
-		{10, 9},
-		{11, 9}, {11, 0},
-		{12, 8},
-	}
-	fg := build(13, edges)
+	fg := build(13, ltPaperEdges)
 	// Known dominator tree (R dominates everything; see LT79 §1).
 	want := []int32{
 		0: -1,
 		1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 8: 0, 9: 0, 11: 0, 12: 4,
 		6: 3, 7: 3, 10: 7,
 	}
-	for name, algo := range map[string]func(*Workspace, *FlowGraph, int32) *Tree{
-		"LengauerTarjan": (*Workspace).LengauerTarjan,
-		"SNCA":           (*Workspace).SNCA,
-	} {
-		ws := NewWorkspace(fg.N)
-		tr := algo(ws, fg, 0)
-		for v, w := range want {
-			if tr.Idom[v] != w {
-				t.Errorf("%s: idom(%d) = %d, want %d", name, v, tr.Idom[v], w)
-			}
+	tr := NewWorkspace(fg.N).SNCA(fg, 0)
+	for v, w := range want {
+		if tr.Idom[v] != w {
+			t.Errorf("idom(%d) = %d, want %d", v, tr.Idom[v], w)
 		}
-		// Cross-check against the naive oracle too.
-		naive := Naive(fg, 0)
-		for v := range naive {
-			if naive[v] != tr.Idom[v] {
-				t.Errorf("%s disagrees with naive at %d: %d vs %d", name, v, tr.Idom[v], naive[v])
-			}
+	}
+	// Cross-check against the naive oracle too.
+	naive := Naive(fg, 0)
+	for v := range naive {
+		if naive[v] != tr.Idom[v] {
+			t.Errorf("SNCA disagrees with naive at %d: %d vs %d", v, tr.Idom[v], naive[v])
 		}
 	}
 }
@@ -143,7 +133,7 @@ func TestLengauerTarjanPaperExample(t *testing.T) {
 func TestSingleVertex(t *testing.T) {
 	fg := build(1, nil)
 	ws := NewWorkspace(1)
-	tr := ws.LengauerTarjan(fg, 0)
+	tr := ws.SNCA(fg, 0)
 	if tr.Reached != 1 || tr.Idom[0] != -1 {
 		t.Fatalf("single vertex: reached=%d idom=%d", tr.Reached, tr.Idom[0])
 	}
@@ -158,7 +148,7 @@ func TestUnreachableVertices(t *testing.T) {
 	// 0 -> 1; 2 -> 3 unreachable from 0.
 	fg := build(4, [][2]int32{{0, 1}, {2, 3}, {3, 1}})
 	ws := NewWorkspace(4)
-	tr := ws.LengauerTarjan(fg, 0)
+	tr := ws.SNCA(fg, 0)
 	if tr.Reached != 2 {
 		t.Fatalf("reached = %d, want 2", tr.Reached)
 	}
@@ -192,7 +182,7 @@ func TestDiamond(t *testing.T) {
 	// Classic diamond: 0->1, 0->2, 1->3, 2->3. idom(3) = 0.
 	fg := build(4, [][2]int32{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	ws := NewWorkspace(4)
-	tr := ws.LengauerTarjan(fg, 0)
+	tr := ws.SNCA(fg, 0)
 	if tr.Idom[3] != 0 {
 		t.Fatalf("diamond idom(3) = %d, want 0", tr.Idom[3])
 	}
@@ -213,7 +203,7 @@ func TestLongPathDeepRecursionSafe(t *testing.T) {
 	}
 	fg := build(n, edges)
 	ws := NewWorkspace(n)
-	tr := ws.LengauerTarjan(fg, 0)
+	tr := ws.SNCA(fg, 0)
 	for v := 1; v < n; v++ {
 		if tr.Idom[v] != int32(v-1) {
 			t.Fatalf("path idom(%d) = %d", v, tr.Idom[v])
@@ -226,8 +216,8 @@ func TestLongPathDeepRecursionSafe(t *testing.T) {
 	}
 }
 
-// randomFlow builds a random digraph for property tests.
-func randomFlow(r *rng.Source, n, m int) *FlowGraph {
+// randomEdges draws m candidate edges over n vertices, dropping self-loops.
+func randomEdges(r *rng.Source, n, m int) [][2]int32 {
 	edges := make([][2]int32, 0, m)
 	for i := 0; i < m; i++ {
 		u, v := int32(r.Intn(n)), int32(r.Intn(n))
@@ -235,26 +225,25 @@ func randomFlow(r *rng.Source, n, m int) *FlowGraph {
 			edges = append(edges, [2]int32{u, v})
 		}
 	}
-	return build(n, edges)
+	return edges
 }
 
-// Property: Lengauer–Tarjan, SNCA and the naive oracle agree on random
-// digraphs, including graphs with cycles and unreachable parts.
+// randomFlow builds a random digraph for property tests.
+func randomFlow(r *rng.Source, n, m int) *FlowGraph { return build(n, randomEdges(r, n, m)) }
+
+// Property: SNCA and the naive oracle agree on random digraphs, including
+// graphs with cycles and unreachable parts.
 func TestAlgorithmsAgreeProperty(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%40) + 2
 		m := int(mRaw%120) + 1
 		r := rng.New(seed)
 		fg := randomFlow(r, n, m)
-		ws1 := NewWorkspace(n)
-		ws2 := NewWorkspace(n)
-		lt := ws1.LengauerTarjan(fg, 0)
-		sn := ws2.SNCA(fg, 0)
+		sn := NewWorkspace(n).SNCA(fg, 0)
 		naive := Naive(fg, 0)
 		for v := 0; v < n; v++ {
-			if lt.Idom[v] != naive[v] || sn.Idom[v] != naive[v] {
-				t.Logf("seed=%d n=%d m=%d v=%d: LT=%d SNCA=%d naive=%d",
-					seed, n, m, v, lt.Idom[v], sn.Idom[v], naive[v])
+			if sn.Idom[v] != naive[v] {
+				t.Logf("seed=%d n=%d m=%d v=%d: SNCA=%d naive=%d", seed, n, m, v, sn.Idom[v], naive[v])
 				return false
 			}
 		}
@@ -274,7 +263,7 @@ func TestSubtreeSizesMatchDefinitionProperty(t *testing.T) {
 		r := rng.New(seed)
 		fg := randomFlow(r, n, m)
 		ws := NewWorkspace(n)
-		tr := ws.LengauerTarjan(fg, 0)
+		tr := ws.SNCA(fg, 0)
 		sizes := make([]int32, n)
 		ws.SubtreeSizes(tr, sizes)
 		naive := NaiveSubtreeSizes(fg, 0)
@@ -300,9 +289,9 @@ func TestWorkspaceReuseProperty(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			n := r.Intn(30) + 2
 			fg := randomFlow(r, n, r.Intn(80)+1)
-			reused := shared.LengauerTarjan(fg, 0)
+			reused := shared.SNCA(fg, 0)
 			reusedIdom := append([]int32(nil), reused.Idom[:n]...)
-			fresh := NewWorkspace(n).LengauerTarjan(fg, 0)
+			fresh := NewWorkspace(n).SNCA(fg, 0)
 			for v := 0; v < n; v++ {
 				if reusedIdom[v] != fresh.Idom[v] {
 					return false
@@ -316,17 +305,6 @@ func TestWorkspaceReuseProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkLengauerTarjanRandom(b *testing.B) {
-	r := rng.New(1)
-	fg := randomFlow(r, 10000, 50000)
-	ws := NewWorkspace(fg.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.LengauerTarjan(fg, 0)
-	}
-}
-
 func BenchmarkSNCARandom(b *testing.B) {
 	r := rng.New(1)
 	fg := randomFlow(r, 10000, 50000)
@@ -336,4 +314,73 @@ func BenchmarkSNCARandom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ws.SNCA(fg, 0)
 	}
+}
+
+// maxFuzzEdges bounds a fuzz input's edge list so the O(n·(n+m)) oracle
+// stays fast.
+const maxFuzzEdges = 4096
+
+// encodeFlow is the inverse of decodeFlow for n ≤ 256: one byte n−1, then
+// one (u, v) byte pair per edge.
+func encodeFlow(n int, edges [][2]int32) []byte {
+	b := []byte{byte(n - 1)}
+	for _, e := range edges {
+		b = append(b, byte(e[0]), byte(e[1]))
+	}
+	return b
+}
+
+// decodeFlow reads a vertex count in [1, 256] from the first byte and an
+// edge list from the byte pairs after it (endpoints mod n). Self-loops are
+// dropped; duplicate edges, cycles and unreachable vertices are kept.
+func decodeFlow(data []byte) (int, [][2]int32) {
+	if len(data) == 0 {
+		return 1, nil
+	}
+	n := int(data[0]) + 1
+	var edges [][2]int32
+	for i := 1; i+1 < len(data) && len(edges) < maxFuzzEdges; i += 2 {
+		u, v := int32(int(data[i])%n), int32(int(data[i+1])%n)
+		if u != v {
+			edges = append(edges, [2]int32{u, v})
+		}
+	}
+	return n, edges
+}
+
+// FuzzDominatorTree checks SNCA's immediate dominators against the naive
+// oracle on arbitrary flow graphs rooted at vertex 0.
+func FuzzDominatorTree(f *testing.F) {
+	f.Add(encodeFlow(9, toyEdges))
+	f.Add(encodeFlow(13, ltPaperEdges))
+	f.Add(encodeFlow(1, nil))
+	f.Add(encodeFlow(3, [][2]int32{{0, 1}, {1, 2}, {2, 1}}))
+	f.Add(encodeFlow(4, [][2]int32{{0, 1}, {2, 3}, {3, 1}}))
+	path := make([][2]int32, 63)
+	for i := range path {
+		path[i] = [2]int32{int32(i), int32(i + 1)}
+	}
+	f.Add(encodeFlow(64, path))
+	for seed := uint64(1); seed <= 8; seed++ {
+		n := 2 + int(seed)*5
+		f.Add(encodeFlow(n, randomEdges(rng.New(seed), n, 3*n)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, edges := decodeFlow(data)
+		fg := build(n, edges)
+		tr := NewWorkspace(n).SNCA(fg, 0)
+		naive := Naive(fg, 0)
+		reached := 1
+		for v := 0; v < n; v++ {
+			if tr.Idom[v] != naive[v] {
+				t.Fatalf("n=%d edges=%v: idom(%d) = %d, naive %d", n, edges, v, tr.Idom[v], naive[v])
+			}
+			if naive[v] != -1 {
+				reached++
+			}
+		}
+		if tr.Reached != reached {
+			t.Fatalf("n=%d edges=%v: reached %d, naive %d", n, edges, tr.Reached, reached)
+		}
+	})
 }

@@ -1,13 +1,16 @@
 package dominator
 
-// SNCA computes the dominator tree using the Semi-NCA algorithm of
-// Georgiadis & Tarjan. It shares the semidominator phase with
-// Lengauer–Tarjan but replaces buckets and the deferred-evaluation fix-up
-// with a single pass that rewrites each vertex's idom by walking up the
-// partially built dominator tree to the nearest ancestor whose DFS number
-// does not exceed the vertex's semidominator (the "nearest common
-// ancestor" step). Same output, simpler bookkeeping; the benchmark suite
-// compares the two as a design ablation.
+// SNCA computes the dominator tree of fg from root using the Semi-NCA
+// algorithm of Georgiadis & Tarjan. It computes semidominators as
+// Lengauer–Tarjan [53] does (EVAL with path compression over an iterative
+// DFS), then replaces Lengauer–Tarjan's buckets and deferred-evaluation
+// fix-up with a single pass that rewrites each vertex's idom by walking up
+// the partially built dominator tree to the nearest ancestor whose DFS
+// number does not exceed the vertex's semidominator (the "nearest common
+// ancestor" step). Same tree, simpler bookkeeping.
+//
+// The returned Tree aliases Workspace storage: it is valid until the next
+// computation with the same Workspace.
 func (ws *Workspace) SNCA(fg *FlowGraph, root int32) *Tree {
 	ws.grow(fg.N)
 	k := ws.dfs(fg, root)
@@ -25,7 +28,7 @@ func (ws *Workspace) SNCA(fg *FlowGraph, root int32) *Tree {
 		}
 	}
 
-	// Semidominator phase, identical in structure to Lengauer–Tarjan.
+	// Semidominator phase, in decreasing DFS order.
 	for i := int32(k); i >= 2; i-- {
 		w := ws.vertex[i]
 		for _, v := range fg.Pred(w) {

@@ -139,20 +139,6 @@ type BenchCoreShard struct {
 	Ns int64 `json:"ns"`
 }
 
-// BenchCoreEncoding is one pool layout's cost point: resident bytes, build
-// time, and the incremental estimator's single-worker round cost on it —
-// the numbers behind the compressed arena's bytes-for-nanoseconds trade.
-type BenchCoreEncoding struct {
-	Encoding      string  `json:"encoding"`
-	PoolBytes     int64   `json:"pool_bytes"`
-	PoolBuildMS   float64 `json:"pool_build_ms"`
-	NsPerRound    float64 `json:"ns_per_round"`
-	BytesPerRound float64 `json:"bytes_per_round"`
-	Workers       int     `json:"workers"`
-	GoMaxProcs    int     `json:"gomaxprocs"`
-	NumCPU        int     `json:"num_cpu"`
-}
-
 // BenchCorePersistPolicy is the WAL write-through cost of one fsync policy:
 // what a durable mutate pays per batch (in-memory commit + WAL append +
 // policy-dependent fsync), against the bare in-memory commit baseline.
@@ -238,12 +224,6 @@ type BenchCoreReport struct {
 	// steal count.
 	ContentionProfile []BenchCoreShard `json:"contention_profile"`
 	SamplesStolen     int64            `json:"samples_stolen"`
-	// Encodings compares the flat and compressed pool layouts at one
-	// worker; the ratios are compressed/flat for pool bytes (smaller is
-	// better) and ns/round (the price paid).
-	Encodings                 []BenchCoreEncoding `json:"encodings"`
-	CompressedPoolBytesRatio  float64             `json:"compressed_pool_bytes_ratio"`
-	CompressedNsPerRoundRatio float64             `json:"compressed_ns_per_round_ratio"`
 	// IncrementalScaling sweeps the incremental estimator's worker count;
 	// BlockersIdenticalAcrossWorkers records that every sweep point
 	// re-derived the same greedy blocker sequence (the sharded reduction's
@@ -409,7 +389,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	n := unified.N()
 	blocked := make([]bool, n)
 	delta := make([]float64, n)
-	pooled := core.NewPooledEstimatorFromPool(pool, cfg.Workers, core.DomLengauerTarjan)
+	pooled := core.NewPooledEstimatorFromPool(pool, cfg.Workers)
 	pickBest := func(delta []float64) graph.V {
 		best := graph.V(-1)
 		for v := graph.V(0); int(v) < g.N(); v++ {
@@ -449,7 +429,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	}
 
 	// Fresh: θ new samples every round.
-	fresh := core.NewEstimator(sampler, cfg.Workers, core.DomLengauerTarjan)
+	fresh := core.NewEstimator(sampler, cfg.Workers)
 	base := rng.New(cfg.Seed)
 	round := uint64(0)
 	ns, by, _ := measure(func() {
@@ -485,8 +465,8 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	// is checked against the pooled trajectory — the
 	// bit-identical-blockers guarantee, exercised at serving size.
 	rep.BlockersIdenticalAcrossWorkers = true
-	measureIncremental := func(pl *core.SamplePool, workers int) (BenchCoreMode, []core.ShardProfile, int64, error) {
-		incr := core.NewIncrementalPooledEstimatorFromPool(pl, workers, core.DomLengauerTarjan)
+	measureIncremental := func(workers int) (BenchCoreMode, []core.ShardProfile, int64, error) {
+		incr := core.NewIncrementalPooledEstimatorFromPool(pool, workers)
 		reTraj := make([]graph.V, 0, opt.Budget)
 		flips := make([]graph.V, 0, opt.Budget)
 		for range traj {
@@ -528,7 +508,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		return mode, incr.ShardProfiles(), incr.Stats().SamplesStolen, nil
 	}
 
-	m, profs, stolen, err := measureIncremental(pool, cfg.Workers)
+	m, profs, stolen, err := measureIncremental(cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -542,7 +522,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	}
 
 	var oneWorkerNs float64
-	var oneWorkerMode BenchCoreMode
 	for i := range rep.IncrementalScaling {
 		pt := &rep.IncrementalScaling[i]
 		m := rep.Incremental
@@ -551,7 +530,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 			// that measurement instead of paying another priming pass and
 			// MinTime of timed rounds for identical numbers.
 			var err error
-			m, _, _, err = measureIncremental(pool, pt.Workers)
+			m, _, _, err = measureIncremental(pt.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -559,7 +538,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		pt.NsPerRound = m.NsPerRound
 		if pt.Workers == 1 {
 			oneWorkerNs = m.NsPerRound
-			oneWorkerMode = m
 		}
 		if oneWorkerNs > 0 {
 			pt.Speedup = oneWorkerNs / m.NsPerRound
@@ -585,28 +563,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 				rep.GoMaxProcs, rep.NumCPU)
 		}
 	}
-
-	// Encoding comparison: the flat single-worker point from the sweep
-	// against a compressed pool of the same samples at the same worker
-	// count. Same trajectory, same bit-identity assertion.
-	t0 = time.Now()
-	cpool := core.NewSamplePoolEnc(sampler, super, cfg.Theta, cfg.Workers,
-		rng.New(cfg.Seed).Split(^uint64(0)), core.PoolCompressed)
-	compBuildMS := float64(time.Since(t0)) / float64(time.Millisecond)
-	compMode, _, _, err := measureIncremental(cpool, 1)
-	if err != nil {
-		return nil, err
-	}
-	rep.Encodings = []BenchCoreEncoding{
-		{Encoding: "flat", PoolBytes: rep.PoolBytes, PoolBuildMS: rep.PoolBuildMS,
-			NsPerRound: oneWorkerMode.NsPerRound, BytesPerRound: oneWorkerMode.BytesPerRound,
-			Workers: 1, GoMaxProcs: rep.GoMaxProcs, NumCPU: rep.NumCPU},
-		{Encoding: "compressed", PoolBytes: cpool.MemoryBytes(), PoolBuildMS: compBuildMS,
-			NsPerRound: compMode.NsPerRound, BytesPerRound: compMode.BytesPerRound,
-			Workers: 1, GoMaxProcs: rep.GoMaxProcs, NumCPU: rep.NumCPU},
-	}
-	rep.CompressedPoolBytesRatio = float64(cpool.MemoryBytes()) / float64(rep.PoolBytes)
-	rep.CompressedNsPerRoundRatio = compMode.NsPerRound / oneWorkerMode.NsPerRound
 
 	// Mutate-then-solve: per batch size, perturb that many random edges of
 	// the serving instance through the dynamic overlay, then answer one
@@ -654,7 +610,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		var elapsed time.Duration
 		var iters int64
 		for elapsed < opt.MinTime {
-			warm := core.NewIncrementalPooledEstimatorFromPool(pool, cfg.Workers, core.DomLengauerTarjan)
+			warm := core.NewIncrementalPooledEstimatorFromPool(pool, cfg.Workers)
 			warm.DecreaseESView(nil) // priming, untimed: the session did this pre-mutation
 			t0 := time.Now()
 			repaired, dirtyIDs := pool.Repair(newSampler, info.ChangedSources, cfg.Workers)
@@ -670,7 +626,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		for elapsed < opt.MinTime {
 			t0 := time.Now()
 			rebuilt := core.NewSamplePool(newSampler, super, cfg.Theta, cfg.Workers, poolBase())
-			cold := core.NewIncrementalPooledEstimatorFromPool(rebuilt, cfg.Workers, core.DomLengauerTarjan)
+			cold := core.NewIncrementalPooledEstimatorFromPool(rebuilt, cfg.Workers)
 			rebuildVals = append(rebuildVals[:0], cold.DecreaseESView(nil)...)
 			elapsed += time.Since(t0)
 			iters++
@@ -719,12 +675,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		for _, sh := range rep.ContentionProfile {
 			fmt.Fprintf(cfg.Out, "  shard %-3d [%6d,%6d) processed %-10d stolen %-8d %12d ns\n",
 				sh.Shard, sh.Lo, sh.Hi, sh.Processed, sh.Stolen, sh.Ns)
-		}
-		fmt.Fprintf(cfg.Out, "pool encodings (incremental, workers=1): compressed/flat bytes %.2f, ns/round %.2f\n",
-			rep.CompressedPoolBytesRatio, rep.CompressedNsPerRoundRatio)
-		for _, e := range rep.Encodings {
-			fmt.Fprintf(cfg.Out, "  %-11s %10.1f MB pool (built %6.0f ms) %12.0f ns/round %12.0f bytes/round\n",
-				e.Encoding, float64(e.PoolBytes)/(1<<20), e.PoolBuildMS, e.NsPerRound, e.BytesPerRound)
 		}
 		fmt.Fprintf(cfg.Out, "mutate-then-solve (repair vs rebuild, θ=%d):\n", cfg.Theta)
 		for _, pt := range rep.MutateRepair {

@@ -6,11 +6,10 @@
 //     when the baseline was measured on matching hardware provenance
 //     (GOMAXPROCS, NumCPU, requested workers); otherwise reported but
 //     ungated.
-//   - ratio:   dimensionless speedups and encoding ratios. Hardware mostly
-//     cancels out of a ratio, so these gate on every run — they are the
-//     trajectory the paper's claims rest on (warm pools beat fresh
-//     sampling, incremental beats pooled, compression trades bytes for
-//     bounded slowdown).
+//   - ratio:   dimensionless speedups. Hardware mostly cancels out of a
+//     ratio, so these gate on every run — they are the trajectory the
+//     paper's claims rest on (warm pools beat fresh sampling, incremental
+//     beats pooled, workers scale).
 //   - bar:     absolute acceptance bars (instrumentation overhead ≤ 2%).
 //   - bool:    determinism contracts that must simply hold (bit-identical
 //     blockers across workers, bit-identical pool repair).
@@ -179,8 +178,6 @@ func RunBenchDiff(base, cand *BenchCoreReport, opt BenchDiffOptions) (*BenchDiff
 	lowerWorse("speedup_incremental_vs_pooled", "ratio", base.SpeedupIncrementalVsPooled, cand.SpeedupIncrementalVsPooled, rt, true)
 	lowerWorse("speedup_incremental_vs_fresh", "ratio", base.SpeedupIncrementalVsFresh, cand.SpeedupIncrementalVsFresh, rt, true)
 	lowerWorse("speedup_incremental_4w_vs_1w", "ratio", base.SpeedupIncremental4WVs1W, cand.SpeedupIncremental4WVs1W, rt, true)
-	higherWorse("compressed_pool_bytes_ratio", "ratio", base.CompressedPoolBytesRatio, cand.CompressedPoolBytesRatio, rt, true)
-	higherWorse("compressed_ns_per_round_ratio", "ratio", base.CompressedNsPerRoundRatio, cand.CompressedNsPerRoundRatio, rt, true)
 
 	// Absolute bars and determinism contracts on the candidate.
 	if cand.Instrumentation != nil {
@@ -252,7 +249,6 @@ type BenchHistoryEntry struct {
 	SpeedupPooledVsFresh       float64 `json:"speedup_pooled_vs_fresh"`
 	SpeedupIncrementalVsPooled float64 `json:"speedup_incremental_vs_pooled"`
 	SpeedupIncrementalVsFresh  float64 `json:"speedup_incremental_vs_fresh"`
-	CompressedPoolBytesRatio   float64 `json:"compressed_pool_bytes_ratio"`
 	InstrumentationOverheadPct float64 `json:"instrumentation_overhead_pct,omitempty"`
 }
 
@@ -274,7 +270,6 @@ func AppendBenchHistory(path string, cand *BenchCoreReport, res *BenchDiffResult
 		SpeedupPooledVsFresh:       round4(cand.SpeedupPooledVsFresh),
 		SpeedupIncrementalVsPooled: round4(cand.SpeedupIncrementalVsPooled),
 		SpeedupIncrementalVsFresh:  round4(cand.SpeedupIncrementalVsFresh),
-		CompressedPoolBytesRatio:   round4(cand.CompressedPoolBytesRatio),
 	}
 	if cand.Instrumentation != nil {
 		e.InstrumentationOverheadPct = round4(cand.Instrumentation.OverheadPct)

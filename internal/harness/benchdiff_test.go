@@ -28,8 +28,6 @@ func sampleReport() *BenchCoreReport {
 	rep.SpeedupIncrementalVsPooled = 7.5
 	rep.SpeedupIncrementalVsFresh = 22.5
 	rep.SpeedupIncremental4WVs1W = 2.5
-	rep.CompressedPoolBytesRatio = 0.5
-	rep.CompressedNsPerRoundRatio = 1.3
 	rep.BlockersIdenticalAcrossWorkers = true
 	rep.MutateRepair = []BenchCoreMutatePoint{
 		{BatchEdges: 16, RepairBitIdentical: true},

@@ -57,7 +57,7 @@ func BenchmarkSolveWarmSession(b *testing.B) {
 	g := benchGraph(b)
 	seeds := benchSeeds(b, g)
 	opt := core.Options{Theta: benchTheta, Seed: 7}
-	sess := core.NewSession(g, core.DiffusionIC, core.DomLengauerTarjan, 0)
+	sess := core.NewSession(g, core.DiffusionIC, 0)
 	// Prime the session so every timed iteration is warm.
 	if _, err := sess.Solve(context.Background(), seeds, benchB, core.AdvancedGreedy, opt); err != nil {
 		b.Fatal(err)

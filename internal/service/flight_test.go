@@ -281,20 +281,21 @@ func TestSolveCostsInstanceBuild(t *testing.T) {
 }
 
 // TestRejectedSolveBuildsNoInstance checks that a request the service
-// rejects — here for an unknown pool_encoding — leaves the session's
-// instance cache alone: the next valid solve with the same seeds still
-// pays the build.
+// rejects after acquiring the graph session — here shed while queued for a
+// solve slot — leaves the session's instance cache alone: the next valid
+// solve with the same seeds still pays the build.
 func TestRejectedSolveBuildsNoInstance(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueueWait: 30 * time.Millisecond})
 	registerTestGraphs(t, ts)
 	req := SolveRequest{
 		Seeds: []int{5, 9}, Budget: 3, Algorithm: "advanced-greedy",
-		Theta: 300, Seed: 11, EvalRounds: -1, PoolEncoding: "bogus",
+		Theta: 300, Seed: 11, EvalRounds: -1,
 	}
-	if code, body := postJSON(t, ts.URL+"/graphs/g1/solve", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("bogus pool_encoding: status %d, body %s", code, body)
+	srv.sem <- struct{}{} // occupy the only solve slot
+	if code, body := postJSON(t, ts.URL+"/graphs/g1/solve", req, nil); code != http.StatusTooManyRequests {
+		t.Fatalf("solve with the pool full: status %d, body %s", code, body)
 	}
-	req.PoolEncoding = ""
+	<-srv.sem
 	var resp SolveResponse
 	if code, body := postJSON(t, ts.URL+"/graphs/g1/solve", req, &resp); code != http.StatusOK {
 		t.Fatalf("valid solve: status %d, body %s", code, body)

@@ -113,7 +113,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Samples kept untouched while repairing cached pools.")
 
 	m.panics = reg.Counter("imind_panics_total",
-		"Handler panics recovered by the middleware (each one a 500 instead of a dead daemon).")
+		"Panics recovered in handlers and solve-batch items (each one a 500 or an item error instead of a dead daemon).")
 	m.degradedEnters = reg.Counter("imind_degraded_enters_total",
 		"Graph transitions into degraded read-only mode after a persistence failure.")
 	m.selfHeals = reg.Counter("imind_self_heals_total",
@@ -219,14 +219,11 @@ func warmLabel(hit bool) string {
 	return "cold"
 }
 
-// encodingLabel renders the pool-encoding label: reuse_samples solves carry
-// their arena layout, everything else samples fresh ("none").
-func encodingLabel(reuse bool, enc string) string {
+// encodingLabel renders the pool-encoding label: reuse_samples solves run
+// on a (flat) sample pool, everything else samples fresh ("none").
+func encodingLabel(reuse bool) string {
 	if !reuse {
 		return "none"
 	}
-	if enc == "" {
-		return "flat"
-	}
-	return enc
+	return "flat"
 }

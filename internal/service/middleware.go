@@ -113,13 +113,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 				if rec == http.ErrAbortHandler {
 					panic(rec)
 				}
-				s.metrics.panics.Inc()
-				s.logger.Error("panic serving request",
-					"request_id", id,
-					"method", r.Method,
-					"path", r.URL.Path,
-					"panic", fmt.Sprint(rec),
-					"stack", string(debug.Stack()))
+				s.notePanic(rec, "request_id", id, "method", r.Method, "path", r.URL.Path)
 				// If the handler already started the response this only
 				// logs; the client sees a truncated body, which is all that
 				// is left.
@@ -148,6 +142,15 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(sw, r)
 	})
+}
+
+// notePanic counts a recovered panic in imind_panics_total and logs it with
+// the panicking goroutine's stack; attrs say what was being served. Call it
+// from the deferred recover, so the stack still shows the panic site.
+func (s *Server) notePanic(rec any, attrs ...any) {
+	s.metrics.panics.Inc()
+	s.logger.Error("panic serving request",
+		append(attrs, "panic", fmt.Sprint(rec), "stack", string(debug.Stack()))...)
 }
 
 // requestLogLevel grades the access-log line: server faults are errors,

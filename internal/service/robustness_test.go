@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -265,6 +267,66 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Request-Id"); got != "panic-corr-7" {
 		t.Errorf("500 X-Request-Id header = %q", got)
+	}
+}
+
+// TestPanicRecoverySolveBatch solves a batch against a registry entry with
+// no dynamic graph, so every item panics inside solveOne on a batch worker
+// goroutine, outside the middleware's recover. Every item line must carry
+// an error naming the request id, the stream must end, each panic must be
+// counted, and the daemon must keep serving.
+func TestPanicRecoverySolveBatch(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 2})
+	srv.registry.mu.Lock()
+	srv.registry.entries["broken"] = &GraphEntry{Name: "broken"}
+	srv.registry.mu.Unlock()
+
+	const items = 3
+	batch := BatchSolveRequest{Items: make([]SolveRequest, items)}
+	for i := range batch.Items {
+		batch.Items[i] = SolveRequest{Budget: 1, Theta: 10, Seed: uint64(i), EvalRounds: -1}
+	}
+	buf, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/graphs/broken/solve-batch", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "batch-panic-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve-batch status %d, want 200 (items report their own errors)", resp.StatusCode)
+	}
+	seen := map[int]bool{}
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var item BatchItemResult
+		if err := dec.Decode(&item); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("item line %d: %v", len(seen), err)
+		}
+		if item.Result != nil || !strings.Contains(item.Error, "batch-panic-1") {
+			t.Fatalf("item %d: result %v, error %q; want an error naming the request id", item.Index, item.Result, item.Error)
+		}
+		seen[item.Index] = true
+	}
+	if len(seen) != items {
+		t.Fatalf("stream ended after items %v, want all %d", seen, items)
+	}
+	// /stats and /metrics read every entry's graph, so the broken one would
+	// fail them; read imind_panics_total straight off its counter.
+	if n := srv.metrics.panics.Int(); n != items {
+		t.Fatalf("imind_panics_total = %d, want %d", n, items)
+	}
+	if code := probeCode(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after batch panics: %d", code)
 	}
 }
 

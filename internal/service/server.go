@@ -38,8 +38,6 @@ type Config struct {
 	// SolveWorkers is the per-solve parallelism handed to the estimator
 	// (Options.Workers). Default 0 = all cores.
 	SolveWorkers int
-	// DomAlgo selects the dominator algorithm for every session.
-	DomAlgo core.DomAlgo
 	// DefaultTimeout caps solves that do not set timeout_ms; 0 = none.
 	DefaultTimeout time.Duration
 	// DefaultTheta, DefaultMCSRounds and DefaultEvalRounds fill unset
@@ -84,10 +82,6 @@ type Config struct {
 	// HealMaxBackoff until a checkpoint succeeds. Defaults 100ms and 5s.
 	HealBackoff    time.Duration
 	HealMaxBackoff time.Duration
-	// DisableDegraded restores the legacy behavior for persistence
-	// failures: a plain 500 with no degraded read-only mode and no
-	// self-heal. Kept as an escape hatch; degraded mode is the default.
-	DisableDegraded bool
 	// DataDir is the only directory path-based graph registration may read
 	// from; empty disables file loading entirely.
 	DataDir string
@@ -218,7 +212,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		registry: NewRegistry(cfg.MaxGraphs),
-		sessions: NewSessionCache(cfg.MaxSessions, cfg.SolveWorkers, cfg.DomAlgo),
+		sessions: NewSessionCache(cfg.MaxSessions, cfg.SolveWorkers, 0),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		regSem:   make(chan struct{}, 1),
 		mux:      http.NewServeMux(),
@@ -322,9 +316,6 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 // self-heal loop. Idempotent: concurrent persistence failures of the same
 // graph start exactly one healer.
 func (s *Server) degrade(entry *GraphEntry, cause error) {
-	if s.cfg.DisableDegraded {
-		return
-	}
 	if !entry.markDegraded(cause.Error()) {
 		return
 	}
@@ -840,8 +831,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// will carry it into the next durable snapshot, but the server could
 	// not promise durability at ack time, so the client gets a 503 +
 	// Retry-After rather than a 200. Further mutations are rejected with
-	// the same 503 until self-heal restores writability. DisableDegraded
-	// keeps the legacy plain 500 instead.
+	// the same 503 until self-heal restores writability.
 	commitStart := time.Now()
 	info, err := entry.Commit(r.Context(), muts)
 	s.metrics.mutateSeconds.Observe(time.Since(commitStart).Seconds())
@@ -851,10 +841,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if errors.Is(err, ErrPersist) {
-		if s.cfg.DisableDegraded {
-			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
 		s.degrade(entry, err)
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusServiceUnavailable, "%v (graph is now degraded read-only while a self-heal checkpoint runs)", err)
@@ -1044,16 +1030,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for idx := range idxCh {
-				item := BatchItemResult{Index: idx}
-				itemStart := time.Now()
-				resp, aerr := s.solveOne(ctx, entry, &req.Items[idx])
-				s.metrics.batchItems.Observe(time.Since(itemStart).Seconds())
-				if aerr != nil {
-					item.Error = aerr.msg
-				} else {
-					item.Result = resp
-				}
-				results <- item
+				results <- s.solveBatchItem(ctx, entry, &req.Items[idx], idx)
 			}
 		}()
 	}
@@ -1090,6 +1067,29 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+}
+
+// solveBatchItem runs one solve-batch item. Batch workers run outside the
+// middleware's recover, so a panicking item is recovered here: it is logged
+// and counted like a handler panic, its line carries an error naming the
+// request id, and the other items still run.
+func (s *Server) solveBatchItem(ctx context.Context, entry *GraphEntry, req *SolveRequest, idx int) (item BatchItemResult) {
+	item.Index = idx
+	itemStart := time.Now()
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.notePanic(rec, "request_id", RequestID(ctx), "graph", entry.Name, "batch_item", idx)
+			item.Error = fmt.Sprintf("internal server error in batch item %d (request id %s)", idx, RequestID(ctx))
+		}
+		s.metrics.batchItems.Observe(time.Since(itemStart).Seconds())
+	}()
+	resp, aerr := s.solveOne(ctx, entry, req)
+	if aerr != nil {
+		item.Error = aerr.msg
+	} else {
+		item.Result = resp
+	}
+	return item
 }
 
 // maxRoundSpans caps the per-round children of one solve trace: a
@@ -1242,10 +1242,6 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 	theta := min(orDefault(req.Theta, s.cfg.DefaultTheta), s.cfg.MaxTheta)
 	mcs := min(orDefault(req.MCSRounds, s.cfg.DefaultMCSRounds), s.cfg.MaxEvalRounds)
 	workers := min(req.Workers, runtime.GOMAXPROCS(0))
-	enc, encErr := poolEncoding(req.PoolEncoding)
-	if encErr != nil {
-		return nil, encErr
-	}
 	opt := core.Options{
 		Theta:        theta,
 		MCSRounds:    mcs,
@@ -1253,7 +1249,6 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 		Workers:      workers,
 		Timeout:      timeout,
 		ReuseSamples: req.ReuseSamples,
-		PoolEncoding: enc,
 	}
 	// Per-round observer: metrics always, spans when tracing. The hook is
 	// read-only — core guarantees the selection is bit-identical with or
@@ -1341,7 +1336,7 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 		return nil, apiErrorf(evalStatus(ctx), "solve: %v", err)
 	}
 	m.solveSeconds.
-		With(resp.Model, warmLabel(hit), encodingLabel(req.ReuseSamples, req.PoolEncoding)).
+		With(resp.Model, warmLabel(hit), encodingLabel(req.ReuseSamples)).
 		Observe(res.Runtime.Seconds())
 	cost.SolveNS = res.Runtime.Nanoseconds()
 	cost.SamplesDrawn = res.SampledGraphs
@@ -1443,18 +1438,6 @@ func diffusionName(d core.Diffusion) string {
 		return "LT"
 	}
 	return "IC"
-}
-
-// poolEncoding maps the request's pool_encoding field onto the core option.
-func poolEncoding(s string) (core.PoolEncoding, *apiError) {
-	switch s {
-	case "", "flat":
-		return core.PoolFlat, nil
-	case "compressed":
-		return core.PoolCompressed, nil
-	default:
-		return 0, apiErrorf(http.StatusBadRequest, "unknown pool_encoding %q (want \"flat\" or \"compressed\")", s)
-	}
 }
 
 func verticesToInts(vs []graph.V) []int {

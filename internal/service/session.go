@@ -47,7 +47,6 @@ type SessionCache struct {
 	mu       sync.Mutex
 	capacity int
 	workers  int
-	domAlgo  core.DomAlgo
 	entries  map[SessionKey]*list.Element
 	order    *list.List // front = most recently used
 	stats    CacheStats
@@ -59,15 +58,15 @@ type cacheItem struct {
 }
 
 // NewSessionCache returns an LRU bound to capacity sessions (minimum 1).
-// workers and domAlgo configure every session it builds.
-func NewSessionCache(capacity, workers int, domAlgo core.DomAlgo) *SessionCache {
+// workers configures every session it builds.
+// The third parameter is unused; cmd/imindbench's replay still passes it.
+func NewSessionCache(capacity, workers, _ int) *SessionCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &SessionCache{
 		capacity: capacity,
 		workers:  workers,
-		domAlgo:  domAlgo,
 		entries:  make(map[SessionKey]*list.Element),
 		order:    list.New(),
 	}
@@ -103,7 +102,7 @@ func (c *SessionCache) Acquire(key SessionKey, g *graph.Graph, epoch uint64) (*c
 		c.stats.PoolReuses += reuses
 		c.stats.Evictions++
 	}
-	sess := core.NewSessionAtEpoch(g, key.Diffusion, c.domAlgo, c.workers, epoch)
+	sess := core.NewSessionAtEpoch(g, key.Diffusion, c.workers, epoch)
 	c.entries[key] = c.order.PushFront(&cacheItem{key: key, sess: sess})
 	return sess, false
 }

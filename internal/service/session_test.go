@@ -12,7 +12,7 @@ import (
 // used session, and count hits/misses/evictions truthfully.
 func TestSessionCacheEviction(t *testing.T) {
 	g := datasets.ErdosRenyi(50, 200, true, rng.New(1))
-	c := NewSessionCache(2, 1, core.DomLengauerTarjan)
+	c := NewSessionCache(2, 1, 0)
 
 	keyA := SessionKey{Graph: "a", Diffusion: core.DiffusionIC}
 	keyB := SessionKey{Graph: "b", Diffusion: core.DiffusionIC}
@@ -57,7 +57,7 @@ func TestSessionCacheEviction(t *testing.T) {
 // A same-graph, different-model key must map to a different session.
 func TestSessionCacheKeyedByModel(t *testing.T) {
 	g := datasets.ErdosRenyi(50, 200, true, rng.New(1))
-	c := NewSessionCache(4, 1, core.DomLengauerTarjan)
+	c := NewSessionCache(4, 1, 0)
 	ic, _ := c.Acquire(SessionKey{Graph: "a", Diffusion: core.DiffusionIC}, g, 0)
 	lt, hit := c.Acquire(SessionKey{Graph: "a", Diffusion: core.DiffusionLT}, g, 0)
 	if hit {

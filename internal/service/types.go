@@ -201,12 +201,6 @@ type SolveRequest struct {
 	// (seeds, seed, theta), so repeated solves skip sampling entirely.
 	// Costs server memory proportional to θ × average sample size.
 	ReuseSamples bool `json:"reuse_samples,omitempty"`
-	// PoolEncoding selects the cached pool's arena layout for reuse_samples
-	// solves: "flat" (default; fastest scans) or "compressed" (delta+varint
-	// sections, typically well under half the memory at a small decode cost
-	// per reprocessed sample). Blocker output is bit-identical across
-	// encodings. Ignored without reuse_samples.
-	PoolEncoding string `json:"pool_encoding,omitempty"`
 	// TimeoutMS caps the solve; 0 uses the server default. On expiry the
 	// partial blocker set is returned with timed_out set.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -323,8 +317,9 @@ type StatsResponse struct {
 	MaxConcurrent int           `json:"max_concurrent"`
 	UptimeSeconds float64       `json:"uptime_seconds"`
 	// Sheds counts requests answered 429 because their admission wait
-	// exceeded the queue bound; Panics counts handler panics recovered by
-	// the middleware (each one a 500 instead of a dead daemon).
+	// exceeded the queue bound; Panics counts recovered panics (a handler
+	// panic is a 500, a solve-batch item panic an item error; neither
+	// stops the daemon).
 	Sheds  int64 `json:"sheds"`
 	Panics int64 `json:"panics"`
 }

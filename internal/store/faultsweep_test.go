@@ -140,8 +140,7 @@ func sweepReplay() map[uint64]*graph.Graph {
 // sweepSolve runs the reference ReuseSamples solve whose result must be
 // bit-identical between a recovered graph and the unkilled control.
 func sweepSolve(g *graph.Graph) core.Result {
-	var domAlgo core.DomAlgo
-	sess := core.NewSession(g, core.DiffusionIC, domAlgo, 1)
+	sess := core.NewSession(g, core.DiffusionIC, 1)
 	res, err := sess.Solve(context.Background(), []graph.V{1, 3, 5}, 3, core.GreedyReplace, core.Options{
 		Theta:        200,
 		MCSRounds:    50,
