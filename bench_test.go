@@ -181,7 +181,7 @@ func BenchmarkAblation_ReachablePruning(b *testing.B) {
 	b.Run("full-graph", func(b *testing.B) {
 		r := rng.New(4)
 		n := g.N()
-		fg := dominator.FlowGraph{N: n}
+		var fg dominator.FlowGraph
 		eFrom := make([]int32, 0, g.M())
 		eTo := make([]int32, 0, g.M())
 		b.ReportAllocs()
@@ -200,38 +200,16 @@ func BenchmarkAblation_ReachablePruning(b *testing.B) {
 					}
 				}
 			}
-			fg.OutStart = buildCSR(n, eFrom, eTo, &fg.OutTo)
-			fg.InStart = buildCSR(n, eTo, eFrom, &fg.InTo)
+			fg.Build(n, eFrom, eTo)
 		}
 	})
-}
-
-// buildCSR is a minimal CSR builder for the full-graph ablation.
-func buildCSR(n int, from, to []int32, out *[]int32) []int32 {
-	start := make([]int32, n+1)
-	for _, u := range from {
-		start[u+1]++
-	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	if cap(*out) < len(from) {
-		*out = make([]int32, len(from))
-	}
-	*out = (*out)[:len(from)]
-	fill := make([]int32, n)
-	for i, u := range from {
-		(*out)[start[u]+fill[u]] = to[i]
-		fill[u]++
-	}
-	return start
 }
 
 // BenchmarkAblation_SampleReuse compares AdvancedGreedy with fresh samples
 // per round (the paper's Algorithm 2 usage) against the pooled variant
 // that draws the θ samples once and filters them per round
-// (Options.ReuseSamples; see core.PooledEstimator). Same blocker quality,
-// different cost profile.
+// (Options.ReuseSamples; see core.IncrementalPooledEstimator). Same
+// blocker quality, different cost profile.
 func BenchmarkAblation_SampleReuse(b *testing.B) {
 	g, src := benchInstance(b)
 	for _, reuse := range []bool{false, true} {

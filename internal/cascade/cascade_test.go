@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,11 +57,11 @@ func TestICSampleStructure(t *testing.T) {
 	const rounds = 50000
 	for i := 0; i < rounds; i++ {
 		sg := ic.Sample(fixture.Seed, nil, r, ws)
-		counts[sg.K]++
+		counts[sg.N]++
 		if sg.Orig[0] != fixture.Seed {
 			t.Fatal("local id 0 is not the source")
 		}
-		if int(sg.OutStart[sg.K]) != len(sg.OutTo) {
+		if int(sg.OutStart[sg.N]) != len(sg.OutTo) {
 			t.Fatal("out CSR bounds corrupt")
 		}
 		if len(sg.OutTo) != len(sg.InTo) {
@@ -68,14 +69,14 @@ func TestICSampleStructure(t *testing.T) {
 		}
 		// Every vertex except the source must have an in-edge (it was
 		// reached through one).
-		indeg := make([]int, sg.K)
+		indeg := make([]int, sg.N)
 		for _, v := range sg.InTo {
 			_ = v
 		}
-		for lv := 0; lv < sg.K; lv++ {
+		for lv := 0; lv < sg.N; lv++ {
 			indeg[lv] = int(sg.InStart[lv+1] - sg.InStart[lv])
 		}
-		for lv := 1; lv < sg.K; lv++ {
+		for lv := 1; lv < sg.N; lv++ {
 			if indeg[lv] == 0 {
 				t.Fatalf("reached vertex %d (orig %d) has no live in-edge", lv, sg.Orig[lv])
 			}
@@ -105,10 +106,10 @@ func TestICSampleRespectsBlocked(t *testing.T) {
 	blocked[fixture.V5] = true
 	for i := 0; i < 1000; i++ {
 		sg := ic.Sample(fixture.Seed, blocked, r, ws)
-		if sg.K != 3 {
-			t.Fatalf("blocking v5: sample K = %d, want 3", sg.K)
+		if sg.N != 3 {
+			t.Fatalf("blocking v5: sample K = %d, want 3", sg.N)
 		}
-		for _, v := range sg.Orig[:sg.K] {
+		for _, v := range sg.Orig[:sg.N] {
 			if v == fixture.V5 {
 				t.Fatal("blocked vertex appeared in sample")
 			}
@@ -126,8 +127,8 @@ func TestICCertainGraphSampleIsExactReachability(t *testing.T) {
 	ws := ic.NewWorkspace()
 	r := rng.New(5)
 	sg := ic.Sample(0, nil, r, ws)
-	if sg.K != 3 {
-		t.Fatalf("K = %d, want 3", sg.K)
+	if sg.N != 3 {
+		t.Fatalf("K = %d, want 3", sg.N)
 	}
 	if len(sg.OutTo) != 3 {
 		t.Fatalf("live edges = %d, want 3", len(sg.OutTo))
@@ -143,8 +144,8 @@ func TestWorkspaceReuseIsClean(t *testing.T) {
 	r := rng.New(6)
 	_ = ic.Sample(fixture.Seed, nil, r, ws)
 	sg := ic.Sample(fixture.V7, nil, r, ws) // v7 has no out-edges
-	if sg.K != 1 || sg.Orig[0] != fixture.V7 {
-		t.Fatalf("stale workspace: K=%d orig0=%d", sg.K, sg.Orig[0])
+	if sg.N != 1 || sg.Orig[0] != fixture.V7 {
+		t.Fatalf("stale workspace: K=%d orig0=%d", sg.N, sg.Orig[0])
 	}
 }
 
@@ -156,9 +157,31 @@ func TestEpochWrapHardReset(t *testing.T) {
 	r := rng.New(7)
 	for i := 0; i < 4; i++ { // crosses the wrap
 		sg := ic.Sample(fixture.Seed, nil, r, ws)
-		if sg.K < 7 || sg.K > 9 {
-			t.Fatalf("sample across epoch wrap has K=%d", sg.K)
+		if sg.N < 7 || sg.N > 9 {
+			t.Fatalf("sample across epoch wrap has K=%d", sg.N)
 		}
+	}
+}
+
+// TestEpochWrapForgetsEveryStamp samples across the wrap of the epoch
+// counter to 0. Vertices the first sample did not reach must not read as
+// reached once the counter comes back to the value the wrap left in their
+// stamps: the last sample of the cycle must match a fresh workspace's.
+func TestEpochWrapForgetsEveryStamp(t *testing.T) {
+	g := fixture.Toy()
+	ic := NewIC(g)
+	blocked := make([]bool, g.N())
+	blocked[fixture.V5] = true
+
+	ws := ic.NewWorkspace()
+	ws.epoch = -1 // the next sample wraps the counter to 0
+	ic.Sample(fixture.Seed, blocked, rng.New(8), ws)
+	ws.epoch = -2 // the next sample runs at epoch -1
+	got := append([]graph.V(nil), ic.Sample(fixture.Seed, nil, rng.New(9), ws).Orig...)
+
+	want := ic.Sample(fixture.Seed, nil, rng.New(9), ic.NewWorkspace()).Orig
+	if !slices.Equal(got, want) {
+		t.Fatalf("sample at epoch -1 after a wrap reached %v, a fresh workspace %v", got, want)
 	}
 }
 
@@ -225,10 +248,10 @@ func TestLTSampleTreeStructure(t *testing.T) {
 		sg := lt.Sample(fixture.Seed, nil, r, ws)
 		// LT live-edge graphs have in-degree ≤ 1 everywhere: the reachable
 		// subgraph is a tree, so edges = K-1.
-		if len(sg.OutTo) != sg.K-1 {
-			t.Fatalf("LT sample is not a tree: K=%d edges=%d", sg.K, len(sg.OutTo))
+		if len(sg.OutTo) != sg.N-1 {
+			t.Fatalf("LT sample is not a tree: K=%d edges=%d", sg.N, len(sg.OutTo))
 		}
-		for lv := 1; lv < sg.K; lv++ {
+		for lv := 1; lv < sg.N; lv++ {
 			if d := sg.InStart[lv+1] - sg.InStart[lv]; d != 1 {
 				t.Fatalf("LT vertex with in-degree %d", d)
 			}
@@ -292,7 +315,7 @@ func TestSampleAndSimulateAgreeProperty(t *testing.T) {
 		r1, r2 := rng.New(seed+1), rng.New(seed+2)
 		var sumSample, sumSim int
 		for i := 0; i < rounds; i++ {
-			sumSample += ic.Sample(0, nil, r1, ws).K
+			sumSample += ic.Sample(0, nil, r1, ws).N
 			sumSim += ic.SimulateCount(0, nil, r2, ws)
 		}
 		a := float64(sumSample) / rounds

@@ -4,37 +4,38 @@
 // (Definition 4 of the paper), which is the input to the dominator-tree
 // estimator at the heart of AdvancedGreedy and GreedyReplace.
 //
-// The key object is the LiveSampler interface with two implementations:
+// The key object is the LiveSampler interface with three implementations:
 //
 //   - IC: every edge (u,v) is live independently with probability p(u,v).
 //   - LT: every vertex picks at most one live in-edge, in-neighbor u with
 //     probability w(u,v) (the classic triggering-set formulation of the
 //     linear threshold model).
+//   - Triggering: any triggering-set distribution (Section V-E), of which
+//     IC and LT are special cases.
 //
 // Samplers materialize only the part of the live-edge graph reachable from
 // the source: by Lemma 1 the expected spread equals the expected number of
 // reachable vertices, and by Theorem 6 the per-vertex spread decrease is a
 // dominator-subtree size in this reachable subgraph, so nothing outside it
 // is ever needed. Edges out of unreachable vertices are never coin-flipped,
-// which is what makes sampling O(reachable edges) instead of O(m).
+// which is what makes sampling O(reachable edges) instead of O(m). A sample
+// comes out as a dominator.FlowGraph (SampledGraph embeds one), the format
+// the estimators store and run the dominator computation on.
 package cascade
 
 import (
+	"github.com/imin-dev/imin/internal/dominator"
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
 )
 
 // SampledGraph is the subgraph of one live-edge sample reachable from the
-// source, in compact local ids 0..K-1 with local id 0 being the source.
-// Slices alias Workspace storage: a SampledGraph is only valid until the
-// next Sample call with the same Workspace.
+// source, as a flow graph over compact local ids 0..N-1 with local id 0
+// being the source. Slices alias Workspace storage: a SampledGraph is only
+// valid until the next Sample call with the same Workspace.
 type SampledGraph struct {
-	K        int       // number of reachable vertices
-	Orig     []graph.V // Orig[local] = vertex id in the original graph
-	OutStart []int32   // CSR of live edges between reachable vertices
-	OutTo    []int32
-	InStart  []int32 // predecessor CSR (needed by dominator computation)
-	InTo     []int32
+	Orig []graph.V // Orig[local] = vertex id in the original graph
+	dominator.FlowGraph
 }
 
 // LiveSampler generates live-edge samples and forward simulations for a
@@ -67,11 +68,6 @@ type Workspace struct {
 
 	orig       []graph.V // local -> original
 	eFrom, eTo []int32   // live edges in local ids
-	outStart   []int32
-	outTo      []int32
-	inStart    []int32
-	inTo       []int32
-	fill       []int32
 	sg         SampledGraph
 	ltStamp    []int32   // LT: lazy trigger-choice validity
 	ltChoice   []graph.V // LT: chosen in-neighbor (-1 = none)
@@ -91,19 +87,16 @@ func newWorkspace(n int) *Workspace {
 	}
 }
 
-// reset starts a new sampling epoch, clearing stamps lazily.
+// reset starts a new sampling epoch, clearing stamps lazily. When the
+// counter wraps to 0 every stamp goes back to 0, the one value no epoch
+// takes; any other value would read as reached once the counter returns
+// to it.
 func (ws *Workspace) reset() {
 	ws.epoch++
-	if ws.epoch == 0 { // wrapped: hard reset
-		for i := range ws.stamp {
-			ws.stamp[i] = -1
-		}
-		for i := range ws.ltStamp {
-			ws.ltStamp[i] = -1
-		}
-		for i := range ws.trStamp {
-			ws.trStamp[i] = -1
-		}
+	if ws.epoch == 0 {
+		clear(ws.stamp)
+		clear(ws.ltStamp)
+		clear(ws.trStamp)
 		ws.epoch = 1
 	}
 	ws.queue = ws.queue[:0]
@@ -125,67 +118,11 @@ func (ws *Workspace) reach(v graph.V) (local int32, isNew bool) {
 	return local, true
 }
 
-// buildCSR converts the recorded edge list into forward and backward CSR
-// over the k reached vertices and fills ws.sg.
+// buildCSR turns the recorded edge list into ws.sg.
 func (ws *Workspace) buildCSR() *SampledGraph {
-	k := len(ws.orig)
-	e := len(ws.eFrom)
-	ws.outStart = growInt32(ws.outStart, k+1)
-	ws.inStart = growInt32(ws.inStart, k+1)
-	ws.outTo = growInt32(ws.outTo, e)
-	ws.inTo = growInt32(ws.inTo, e)
-	ws.fill = growInt32(ws.fill, k)
-	outStart, inStart := ws.outStart[:k+1], ws.inStart[:k+1]
-	outTo, inTo := ws.outTo[:e], ws.inTo[:e]
-	fill := ws.fill[:k]
-
-	for i := range outStart {
-		outStart[i] = 0
-	}
-	for i := range inStart {
-		inStart[i] = 0
-	}
-	for i := 0; i < e; i++ {
-		outStart[ws.eFrom[i]+1]++
-		inStart[ws.eTo[i]+1]++
-	}
-	for i := 0; i < k; i++ {
-		outStart[i+1] += outStart[i]
-		inStart[i+1] += inStart[i]
-	}
-	for i := range fill {
-		fill[i] = 0
-	}
-	for i := 0; i < e; i++ {
-		u := ws.eFrom[i]
-		outTo[outStart[u]+fill[u]] = ws.eTo[i]
-		fill[u]++
-	}
-	for i := range fill {
-		fill[i] = 0
-	}
-	for i := 0; i < e; i++ {
-		v := ws.eTo[i]
-		inTo[inStart[v]+fill[v]] = ws.eFrom[i]
-		fill[v]++
-	}
-
-	ws.sg = SampledGraph{
-		K:        k,
-		Orig:     ws.orig,
-		OutStart: outStart,
-		OutTo:    outTo,
-		InStart:  inStart,
-		InTo:     inTo,
-	}
+	ws.sg.Orig = ws.orig
+	ws.sg.Build(len(ws.orig), ws.eFrom, ws.eTo)
 	return &ws.sg
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n, n+n/2)
-	}
-	return s[:n]
 }
 
 // IC is the LiveSampler for the independent cascade model: each edge is live

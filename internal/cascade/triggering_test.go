@@ -37,11 +37,11 @@ func TestTriggeringSampleStructure(t *testing.T) {
 	r := rng.New(4)
 	for i := 0; i < 20000; i++ {
 		sg := tr.Sample(fixture.Seed, nil, r, ws)
-		if sg.K < 7 || sg.K > 9 {
-			t.Fatalf("impossible K=%d", sg.K)
+		if sg.N < 7 || sg.N > 9 {
+			t.Fatalf("impossible K=%d", sg.N)
 		}
 		// Every non-source vertex needs a live in-edge.
-		for lv := 1; lv < sg.K; lv++ {
+		for lv := 1; lv < sg.N; lv++ {
 			if sg.InStart[lv+1] == sg.InStart[lv] {
 				t.Fatal("reached vertex without live in-edge")
 			}

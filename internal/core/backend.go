@@ -9,16 +9,13 @@ import (
 // algorithms stay agnostic: fresh samples every round (the paper's
 // Algorithm 2, default), or one shared pool reused across rounds
 // (Options.ReuseSamples) answered by the delta-maintained
-// IncrementalPooledEstimator. The non-incremental PooledEstimator can also
-// be slotted in (tests and the ablation benchmarks do) — the two are
-// bit-identical over the same pool, so nothing downstream can tell.
+// IncrementalPooledEstimator.
 type estBackend struct {
-	fresh  *Estimator
-	pooled *PooledEstimator
-	incr   *IncrementalPooledEstimator
-	theta  int
-	base   *rng.Source
-	drawn  int64
+	fresh *Estimator
+	incr  *IncrementalPooledEstimator
+	theta int
+	base  *rng.Source
+	drawn int64
 
 	// flips accumulates the blocked-set mutations the greedy loop reported
 	// since the last decreaseES call; flipsKnown turns true after the first
@@ -27,9 +24,9 @@ type estBackend struct {
 	flips      []graph.V
 	flipsKnown bool
 
-	// scratch receives the Δ vector for the estimators that fill a caller
-	// buffer; the incremental estimator instead lends out its maintained
-	// vector, so the ReuseSamples path never pays a per-round O(n) fill.
+	// scratch receives the fresh estimator's Δ vector; the incremental
+	// estimator instead lends out its maintained vector, so the
+	// ReuseSamples path never pays a per-round O(n) fill.
 	scratch []float64
 }
 
@@ -97,10 +94,6 @@ func (b *estBackend) decreaseES(src graph.V, blocked []bool, round uint64) []flo
 		b.flips = b.flips[:0]
 		b.flipsKnown = true
 		return vals
-	case b.pooled != nil:
-		dst := b.buf(len(blocked))
-		b.pooled.DecreaseES(dst, blocked)
-		return dst
 	default:
 		dst := b.buf(len(blocked))
 		b.fresh.DecreaseES(dst, src, blocked, b.theta, b.base.Split(round))
@@ -117,8 +110,7 @@ func (b *estBackend) samplesDrawn() int64 { return b.drawn }
 // workSnapshot returns cumulative (samples processed, samples stolen)
 // counters; Options.OnRound emitters delta two snapshots to charge work to
 // a single round. Incremental backends report reprocessed dirty samples
-// and shard steals, fresh backends report samples drawn; the plain pooled
-// backend (tests only) reports nothing.
+// and shard steals, fresh backends report samples drawn.
 func (b *estBackend) workSnapshot() (processed, stolen int64) {
 	if b.incr != nil {
 		st := b.incr.Stats()

@@ -16,7 +16,7 @@ import (
 //	Fresh        resamples θ live-edge graphs every round (the paper's
 //	             Algorithm 2).
 //	Pooled       draws the pool once, re-scans all θ stored samples per
-//	             round.
+//	             round: the PooledEstimator test oracle.
 //	Incremental  draws the pool once, then re-processes only the samples
 //	             containing the vertex blocked in the previous round. Its
 //	             loop includes the round-0 priming scan, so the reported
@@ -115,10 +115,15 @@ func BenchmarkDecreaseES_Pooled(b *testing.B) {
 	pool := NewSamplePool(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7))
 	traj := benchTrajectory(b, in, pool)
 	blocked := make([]bool, in.g.N())
-	est := &estBackend{pooled: NewPooledEstimatorFromPool(pool, 0), theta: estBenchTheta}
+	delta := make([]float64, in.g.N())
+	est := NewPooledEstimatorFromPool(pool, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		greedyRounds(in, est, traj, blocked)
+		for _, v := range traj {
+			est.DecreaseES(delta, blocked)
+			blocked[v] = true
+		}
+		clear(blocked)
 	}
 	reportPerRound(b)
 }

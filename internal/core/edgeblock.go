@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/imin-dev/imin/internal/cascade"
-	"github.com/imin-dev/imin/internal/dominator"
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
 )
@@ -132,12 +131,10 @@ func (e *edgeEstimator) decreaseES(dst []float64, theta int, base *rng.Source) {
 		wg.Add(1)
 		go func(share int, r *rng.Source, acc []int64) {
 			defer wg.Done()
-			st := &edgeWorker{
-				cws: e.sampler.NewWorkspace(),
-				dws: dominator.NewWorkspace(0),
-			}
+			cws := e.sampler.NewWorkspace()
+			k := newSampleKernel()
 			for i := 0; i < share; i++ {
-				e.accumulateOne(st, r, acc)
+				e.accumulateOne(cws, &k, r, acc)
 			}
 		}(share, r, acc)
 	}
@@ -152,99 +149,19 @@ func (e *edgeEstimator) decreaseES(dst []float64, theta int, base *rng.Source) {
 	}
 }
 
-type edgeWorker struct {
-	cws *cascade.Workspace
-	dws *dominator.Workspace
-	// split-graph scratch, grown on demand
-	outStart, outTo []int32
-	inStart, inTo   []int32
-	fill            []int32
-	sizes           []int32
-}
-
 // accumulateOne draws one sample, edge-splits it, and accumulates weighted
 // dominator-subtree sizes per original edge.
-func (e *edgeEstimator) accumulateOne(st *edgeWorker, r *rng.Source, acc []int64) {
-	sg := e.sampler.Sample(e.src, nil, r, st.cws)
-	k := sg.K
-	ne := len(sg.OutTo)
-	nSplit := k + ne
-
-	// Build the split graph's out-CSR: original local vertex u keeps one
-	// edge per live out-edge, pointing at the edge-vertex k+j; edge-vertex
-	// k+j has a single edge to the live target.
-	st.outStart = growI32(st.outStart, nSplit+1)
-	st.outTo = growI32(st.outTo, 2*ne)
-	outStart, outTo := st.outStart[:nSplit+1], st.outTo[:2*ne]
-	pos := int32(0)
-	for u := 0; u < k; u++ {
-		outStart[u] = pos
-		for j := sg.OutStart[u]; j < sg.OutStart[u+1]; j++ {
-			outTo[pos] = int32(k) + j
-			pos++
-		}
-	}
-	for j := 0; j < ne; j++ {
-		outStart[k+j] = pos
-		outTo[pos] = sg.OutTo[j]
-		pos++
-	}
-	outStart[nSplit] = pos
-
-	// Transpose for the in-CSR.
-	st.inStart = growI32(st.inStart, nSplit+1)
-	st.inTo = growI32(st.inTo, 2*ne)
-	inStart, inTo := st.inStart[:nSplit+1], st.inTo[:2*ne]
-	for i := range inStart {
-		inStart[i] = 0
-	}
-	for _, v := range outTo {
-		inStart[v+1]++
-	}
-	for i := 0; i < nSplit; i++ {
-		inStart[i+1] += inStart[i]
-	}
-	st.fill = growI32(st.fill, nSplit)
-	fill := st.fill[:nSplit]
-	for i := range fill {
-		fill[i] = 0
-	}
-	for u := int32(0); u < int32(nSplit); u++ {
-		for j := outStart[u]; j < outStart[u+1]; j++ {
-			v := outTo[j]
-			inTo[inStart[v]+fill[v]] = u
-			fill[v]++
-		}
-	}
-
-	fg := dominator.FlowGraph{N: nSplit, OutStart: outStart, OutTo: outTo, InStart: inStart, InTo: inTo}
-	tree := st.dws.SNCA(&fg, 0)
-	st.sizes = growI32(st.sizes, nSplit)
-	sizes := st.sizes[:nSplit]
-	st.dws.WeightedSubtreeSizes(tree, func(v int32) int32 {
-		if int(v) < k {
-			return 1
-		}
-		return 0
-	}, sizes)
-
-	// Accumulate per original edge: live edge j runs from local u to
-	// sg.OutTo[j]; its split vertex is k+j.
-	for u := 0; u < k; u++ {
+func (e *edgeEstimator) accumulateOne(cws *cascade.Workspace, k *sampleKernel, r *rng.Source, acc []int64) {
+	sg := e.sampler.Sample(e.src, nil, r, cws)
+	sizes := k.dominateSplit(sg)
+	// Live edge j runs from local u to sg.OutTo[j]; its edge-vertex is N+j.
+	for u := 0; u < sg.N; u++ {
 		origU := sg.Orig[u]
 		for j := sg.OutStart[u]; j < sg.OutStart[u+1]; j++ {
-			origV := sg.Orig[sg.OutTo[j]]
-			idx := e.g.OutEdgeIndex(origU, origV)
+			idx := e.g.OutEdgeIndex(origU, sg.Orig[sg.OutTo[j]])
 			if idx >= 0 {
-				acc[idx] += int64(sizes[int32(k)+j])
+				acc[idx] += int64(sizes[int32(sg.N)+j])
 			}
 		}
 	}
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n, n+n/2)
-	}
-	return s[:n]
 }

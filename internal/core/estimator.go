@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"github.com/imin-dev/imin/internal/cascade"
-	"github.com/imin-dev/imin/internal/dominator"
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
 )
@@ -36,10 +35,9 @@ type Estimator struct {
 }
 
 type estWorker struct {
-	cws   *cascade.Workspace
-	dws   *dominator.Workspace
-	sizes []int32
-	acc   []int64 // acc[u] = Σ over samples of subtree size of u
+	cws *cascade.Workspace
+	sampleKernel
+	acc []int64 // acc[u] = Σ over samples of subtree size of u
 }
 
 // NewEstimator returns an Estimator over the sampler's graph. workers <= 0
@@ -71,10 +69,9 @@ func (e *Estimator) worker(w int) *estWorker {
 	for len(e.scratch) <= w {
 		n := e.sampler.Graph().N()
 		e.scratch = append(e.scratch, &estWorker{
-			cws:   e.sampler.NewWorkspace(),
-			dws:   dominator.NewWorkspace(n),
-			sizes: make([]int32, n),
-			acc:   make([]int64, n),
+			cws:          e.sampler.NewWorkspace(),
+			sampleKernel: newSampleKernel(),
+			acc:          make([]int64, n),
 		})
 	}
 	return e.scratch[w]
@@ -136,22 +133,12 @@ func (e *Estimator) DecreaseES(dst []float64, src graph.V, blocked []bool, theta
 
 // accumulateOne draws one sampled graph, builds its dominator tree, and adds
 // every vertex's subtree size into the worker accumulator (one iteration of
-// Algorithm 2's outer loop).
+// Algorithm 2's outer loop). The sampler already left blocked vertices out.
 func (e *Estimator) accumulateOne(st *estWorker, src graph.V, blocked []bool, r *rng.Source) {
-	sg := e.sampler.Sample(src, blocked, r, st.cws)
-	fg := dominator.FlowGraph{
-		N:        sg.K,
-		OutStart: sg.OutStart,
-		OutTo:    sg.OutTo,
-		InStart:  sg.InStart,
-		InTo:     sg.InTo,
-	}
-	tree := st.dws.SNCA(&fg, 0)
-	sizes := st.sizes[:sg.K]
-	st.dws.SubtreeSizes(tree, sizes)
+	orig, sizes := st.dominate(e.sampler.Sample(src, blocked, r, st.cws), nil)
 	// Local id 0 is the source; it is never a candidate blocker.
-	for local := 1; local < sg.K; local++ {
-		st.acc[sg.Orig[local]] += int64(sizes[local])
+	for local := 1; local < len(orig); local++ {
+		st.acc[orig[local]] += int64(sizes[local])
 	}
 }
 

@@ -6,15 +6,22 @@ import (
 	"time"
 
 	"github.com/imin-dev/imin/internal/cascade"
-	"github.com/imin-dev/imin/internal/dominator"
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
 )
 
-// IncrementalPooledEstimator is the delta-maintained, shard-parallel
-// version of PooledEstimator. Blocking (or unblocking) a vertex x can only
-// change the filtered dominator computation of samples whose reachable
-// region contains x, so instead of re-scanning all θ samples every round it
+// IncrementalPooledEstimator is the sample-reuse variant of Algorithm 2
+// (Options.ReuseSamples): it draws the θ live-edge samples once into a
+// SamplePool and answers every DecreaseES call — one per greedy round —
+// from that pool with the current blocker set filtered out. Filtering a
+// live-edge sample of G by removing B yields a live-edge sample of G[V\B],
+// so each round stays unbiased; rounds share randomness (common random
+// numbers), and memory grows with θ × (average sample size).
+//
+// Rounds are delta-maintained and shard-parallel. Blocking (or
+// unblocking) a vertex x can only change the filtered dominator
+// computation of samples whose reachable region contains x, so instead of
+// re-scanning all θ samples every round it
 //
 //  1. diffs the requested blocker set against the one the cache reflects,
 //  2. collects the dirty samples through the pool's inverted index into a
@@ -30,7 +37,7 @@ import (
 // A round therefore costs O(θ_x·m̄/P + t) where θ_x is the number of
 // samples containing the flipped vertices — on real graphs a small
 // fraction of θ — P the worker count, and t the number of touched
-// vertices, against PooledEstimator's O(θ·m̄).
+// vertices, against O(θ·m̄) for re-scanning the pool.
 //
 // Sharding and stealing: the θ samples are partitioned into P contiguous
 // ranges; shard s is handed the batch of dirty samples it owns at the start
@@ -47,7 +54,7 @@ import (
 //
 // Equivalence and P-independence: contributions are exact int64 values and
 // Σ_s acc_s[u] is invariant under both the partition and the steal
-// schedule, so DecreaseES output is bit-identical to PooledEstimator over
+// schedule, so DecreaseES output is bit-identical to a full re-scan of
 // the same pool for every blocker sequence, every worker count, and every
 // interleaving — workers=1 and workers=8 return the same bits (the
 // cross-validation and determinism tests assert this). The estimator
@@ -108,12 +115,12 @@ type IncrementalPooledEstimator struct {
 // are the designed cross-worker handoff point.
 type incShard struct {
 	lo, hi int // owned sample range [lo, hi)
-	filterScratch
-	sview   sampleView
-	acc     []int64   // acc[u] = Σ of cached subtree sizes this worker folded in; cache-line-aligned
-	marked  []bool    // dedup for touched; cache-line-aligned
-	touched []graph.V // vertices whose acc changed this round
-	batch   []int32   // this round's owned dirty batch (aliases batchBuf)
+	sampleKernel
+	sview   cascade.SampledGraph // pool view of the sample being processed
+	acc     []int64              // acc[u] = Σ of cached subtree sizes this worker folded in; cache-line-aligned
+	marked  []bool               // dedup for touched; cache-line-aligned
+	touched []graph.V            // vertices whose acc changed this round
+	batch   []int32              // this round's owned dirty batch (aliases batchBuf)
 
 	// Work counters, written only by this shard's worker goroutine.
 	processed int64 // dirty samples this worker recomputed (own + stolen)
@@ -212,11 +219,11 @@ func (e *IncrementalPooledEstimator) reshard(workers int) {
 	e.shards = make([]*incShard, p)
 	for s := 0; s < p; s++ {
 		sh := &incShard{
-			lo:            s * theta / p,
-			hi:            (s + 1) * theta / p,
-			filterScratch: newFilterScratch(),
-			acc:           alignedInt64(n),
-			marked:        alignedBools(n),
+			lo:           s * theta / p,
+			hi:           (s + 1) * theta / p,
+			sampleKernel: newSampleKernel(),
+			acc:          alignedInt64(n),
+			marked:       alignedBools(n),
 		}
 		e.shards[s] = sh
 		for i := sh.lo; i < sh.hi; i++ {
@@ -245,8 +252,8 @@ func (e *IncrementalPooledEstimator) reshard(workers int) {
 }
 
 // DecreaseES estimates Δ[u] on G[V\B] for every vertex from the stored
-// pool, writing into dst (length ≥ n). Output is bit-identical to
-// PooledEstimator.DecreaseES over the same pool; only samples containing a
+// pool, writing into dst (length ≥ n). Output is bit-identical to a full
+// re-scan of the same pool; only samples containing a
 // vertex whose blocked state changed since the previous call are
 // re-processed. The changed vertices are found by diffing blocked against
 // the previous call's set; callers that track their own mutations can hand
@@ -414,7 +421,7 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 
 	// Phase 2: refresh the cached Δ vector at exactly the touched
 	// vertices, clear the marks, and drain the round's staging. vals[u] =
-	// float64(Σ_s acc_s[u])·θ⁻¹ — the same expression PooledEstimator
+	// float64(Σ_s acc_s[u])·θ⁻¹ — the same expression a full re-scan
 	// evaluates, with the shard sum combined pairwise (sumAcc); int64
 	// addition is exact, so the association is immaterial to the bits.
 	// Large rounds run the reduction range-partitioned in parallel:
@@ -563,7 +570,7 @@ func (e *IncrementalPooledEstimator) processInto(to *incShard, samples []int32, 
 		}
 
 		e.pool.view(int(i), &to.sview)
-		forig, sizes := to.dominateSample(&to.sview, blocked)
+		forig, sizes := to.dominate(&to.sview, blocked)
 		e.contribLen[i] = int32(len(forig) - 1)
 		for fl := 1; fl < len(forig); fl++ {
 			v, sz := forig[fl], sizes[fl]
@@ -572,25 +579,6 @@ func (e *IncrementalPooledEstimator) processInto(to *incShard, samples []int32, 
 			to.add(v, int64(sz))
 		}
 	}
-}
-
-// dominateSample computes per-vertex dominator-subtree sizes for one stored
-// sample under the current blocker set. When the sample contains no blocked
-// vertex — every priming-round sample, and dirty samples whose flips were
-// all unblocks — the sample CSR already is the flow graph, so the filter BFS
-// and CSR rebuild are skipped and the dominator computation runs straight
-// off the view. Dominator trees are unique per flow graph, so both paths
-// return identical (vertex, size) contributions.
-func (st *filterScratch) dominateSample(s *sampleView, blocked []bool) ([]graph.V, []int32) {
-	if blocked != nil {
-		for _, v := range s.orig {
-			if blocked[v] {
-				return st.filterAndDominate(s, blocked)
-			}
-		}
-	}
-	fg := dominator.FlowGraph{N: len(s.orig), OutStart: s.outStart, OutTo: s.outTo, InStart: s.inStart, InTo: s.inTo}
-	return s.orig, st.runDominators(&fg)
 }
 
 // RepairPool swaps in a repaired pool (SamplePool.Repair) while keeping the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -46,14 +47,14 @@ func TestSamplePoolInvertedIndexHandBuilt(t *testing.T) {
 			}
 		}
 	}
-	var s sampleView
+	var s cascade.SampledGraph
 	for i := 0; i < theta; i++ {
 		pool.view(i, &s)
-		if !reflect.DeepEqual(s.orig, []graph.V{0, 1, 2}) {
-			t.Fatalf("sample %d orig = %v, want [0 1 2]", i, s.orig)
+		if !reflect.DeepEqual(s.Orig, []graph.V{0, 1, 2}) {
+			t.Fatalf("sample %d orig = %v, want [0 1 2]", i, s.Orig)
 		}
-		if !reflect.DeepEqual(s.outStart, []int32{0, 1, 2, 2}) || !reflect.DeepEqual(s.outTo, []int32{1, 2}) {
-			t.Fatalf("sample %d CSR = %v/%v, want [0 1 2 2]/[1 2]", i, s.outStart, s.outTo)
+		if !reflect.DeepEqual(s.OutStart, []int32{0, 1, 2, 2}) || !reflect.DeepEqual(s.OutTo, []int32{1, 2}) {
+			t.Fatalf("sample %d CSR = %v/%v, want [0 1 2 2]/[1 2]", i, s.OutStart, s.OutTo)
 		}
 	}
 	if pool.MemoryBytes() <= 0 {
@@ -70,14 +71,14 @@ func TestSamplePoolIndexConsistency(t *testing.T) {
 
 	inSample := make([]map[graph.V]bool, pool.Theta())
 	total := 0
-	var s sampleView
+	var s cascade.SampledGraph
 	for i := 0; i < pool.Theta(); i++ {
 		pool.view(i, &s)
-		inSample[i] = make(map[graph.V]bool, len(s.orig))
-		for _, v := range s.orig {
+		inSample[i] = make(map[graph.V]bool, len(s.Orig))
+		for _, v := range s.Orig {
 			inSample[i][v] = true
 		}
-		total += len(s.orig)
+		total += len(s.Orig)
 	}
 	indexed := 0
 	for v := graph.V(0); int(v) < g.N(); v++ {
@@ -163,13 +164,32 @@ func TestIncrementalMatchesPooledBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEstimatorsCrossValidateBlockerSets asserts that the three DecreaseES
+// TestEstimatorsCrossValidateBlockerSets asserts that the DecreaseES
 // strategies select identical blocker sets for AG and GR at pinned RNG
-// streams: pooled and incremental must agree exactly (bit-identical Δ over
-// the same pool), and the fresh-sample solver agrees at these θ because the
+// streams. A ReuseSamples solve, whose incremental estimator trusts the
+// greedy loops' flip reports, must agree exactly with the same run forced
+// to diff the whole blocker set every round (fullDiffBlockers): a blocked[v]
+// mutation the loops fail to report through noteFlip shows up as a
+// difference. The fresh-sample solver agrees at these θ because the
 // estimates are far enough apart on these instances — pinned seeds keep
 // that deterministic, matching the crossvalidate_test.go approach.
+//
+// Besides the random graphs, two hand-built instances pin the GreedyReplace
+// replacement phase, whose flip reports the random ones leave uncovered
+// (a flip of the vertex blocked last in phase 1 is already in the report
+// list, so only later replacement rounds can expose a missing one):
+// swapGraph swaps a new blocker in at both replacement rounds, and
+// keepGraph swaps at the first and keeps its blocker at the second, on
+// samples that differ enough for a missing report to change the pick.
 func TestEstimatorsCrossValidateBlockerSets(t *testing.T) {
+	type crossCase struct {
+		name   string
+		g      *graph.Graph
+		thetas []int
+		seed   uint64
+		wantGR []graph.V // pinned GreedyReplace blockers; nil = unpinned
+	}
+	var cases []crossCase
 	for _, seed := range []uint64{1, 2, 3, 5, 8} {
 		r := rng.New(seed)
 		n := r.Intn(8) + 5
@@ -177,50 +197,108 @@ func TestEstimatorsCrossValidateBlockerSets(t *testing.T) {
 		for i := 0; i < 2*n; i++ {
 			bld.AddEdge(graph.V(r.Intn(n)), graph.V(r.Intn(n)), float64(r.Intn(4))*0.25+0.25)
 		}
-		g := bld.Build()
-		for _, theta := range []int{3000, 8000} {
-			opt := Options{Theta: theta, Workers: 2, Seed: seed}
+		cases = append(cases, crossCase{name: fmt.Sprintf("random seed=%d", seed), g: bld.Build(),
+			thetas: []int{3000, 8000}, seed: seed})
+	}
+	cases = append(cases,
+		crossCase{name: "swapGraph", g: swapGraph(), thetas: []int{50}, seed: 1, wantGR: []graph.V{4, 10}},
+		crossCase{name: "keepGraph", g: keepGraph(), thetas: []int{20000}, seed: 1, wantGR: []graph.V{1, 4}})
+
+	for _, c := range cases {
+		for _, theta := range c.thetas {
+			opt := Options{Theta: theta, Workers: 2, Seed: c.seed}
 			for _, alg := range []Algorithm{AdvancedGreedy, GreedyReplace} {
-				fresh, err := Solve(g, []graph.V{0}, 2, alg, opt)
+				fresh, err := Solve(c.g, []graph.V{0}, 2, alg, opt)
 				if err != nil {
-					t.Fatalf("seed=%d θ=%d %s fresh: %v", seed, theta, alg, err)
+					t.Fatalf("%s θ=%d %s fresh: %v", c.name, theta, alg, err)
 				}
 
 				optPool := opt
 				optPool.ReuseSamples = true
-				incr, err := Solve(g, []graph.V{0}, 2, alg, optPool)
+				incr, err := Solve(c.g, []graph.V{0}, 2, alg, optPool)
 				if err != nil {
-					t.Fatalf("seed=%d θ=%d %s incremental: %v", seed, theta, alg, err)
+					t.Fatalf("%s θ=%d %s incremental: %v", c.name, theta, alg, err)
 				}
+				full := fullDiffBlockers(t, c.g, 2, alg, optPool)
 
-				// The non-incremental pooled estimator over the pool a cold
-				// ReuseSamples run draws (same split chain).
-				in, err := newInstance(g, []graph.V{0})
-				if err != nil {
-					t.Fatal(err)
-				}
-				base := rng.New(opt.Seed)
-				pooledEst := NewPooledEstimator(
-					in.sampler(opt.Diffusion), in.src, theta, opt.Workers, base.Split(^uint64(0)))
-				back := &estBackend{pooled: pooledEst, theta: theta, base: base}
-				var pooled Result
-				if alg == AdvancedGreedy {
-					pooled = solveAdvancedGreedy(stopper{}, in, back, 2, opt)
-				} else {
-					pooled = solveGreedyReplace(stopper{}, in, back, 2, opt)
-				}
-
-				if !reflect.DeepEqual(pooled.Blockers, incr.Blockers) {
-					t.Errorf("seed=%d θ=%d %s: pooled %v != incremental %v (must be exact)",
-						seed, theta, alg, pooled.Blockers, incr.Blockers)
+				if !reflect.DeepEqual(full, incr.Blockers) {
+					t.Errorf("%s θ=%d %s: full diff %v != flip reports %v (must be exact)",
+						c.name, theta, alg, full, incr.Blockers)
 				}
 				if !reflect.DeepEqual(fresh.Blockers, incr.Blockers) {
-					t.Errorf("seed=%d θ=%d %s: fresh %v != pooled/incremental %v",
-						seed, theta, alg, fresh.Blockers, incr.Blockers)
+					t.Errorf("%s θ=%d %s: fresh %v != incremental %v",
+						c.name, theta, alg, fresh.Blockers, incr.Blockers)
+				}
+				if alg == GreedyReplace && c.wantGR != nil && !reflect.DeepEqual(incr.Blockers, c.wantGR) {
+					t.Errorf("%s θ=%d: GreedyReplace chose %v, want %v", c.name, theta, incr.Blockers, c.wantGR)
 				}
 			}
 		}
 	}
+}
+
+// fullDiffBlockers runs alg exactly as a cold ReuseSamples Solve does, except
+// that an OnRound hook clears the backend's flipsKnown after every round, so
+// each round diffs the whole blocker set instead of trusting the loops'
+// flip reports.
+func fullDiffBlockers(t *testing.T, g *graph.Graph, b int, alg Algorithm, opt Options) []graph.V {
+	t.Helper()
+	opt = opt.withDefaults()
+	in, err := newInstance(g, []graph.V{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := newEstBackend(in, opt, rng.New(opt.Seed))
+	opt.OnRound = func(RoundInfo) { back.flipsKnown = false }
+	if alg == AdvancedGreedy {
+		return solveAdvancedGreedy(stopper{}, in, back, b, opt).Blockers
+	}
+	return solveGreedyReplace(stopper{}, in, back, b, opt).Blockers
+}
+
+// fanEdges adds u→v for every v in [lo, hi], live with probability p.
+func fanEdges(bld *graph.Builder, u, lo, hi graph.V, p float64) {
+	for v := lo; v <= hi; v++ {
+		bld.AddEdge(u, v, p)
+	}
+}
+
+// swapGraph: the source 0 reaches 1, 2 and 3, each of which reaches both 4
+// (over 5..9) and 10 (over 11..20); every edge is certain, so Δ is exact.
+// With b = 2, GreedyReplace blocks 1 and 2 in phase 1 (Δ = 1 each), swaps
+// 2 for 10 (Δ = 11), then 1 for 4 (Δ = 6).
+func swapGraph() *graph.Graph {
+	bld := graph.NewBuilder(21)
+	fanEdges(bld, 0, 1, 3, 1)
+	for u := graph.V(1); u <= 3; u++ {
+		bld.AddEdge(u, 4, 1)
+		bld.AddEdge(u, 10, 1)
+	}
+	fanEdges(bld, 4, 5, 9, 1)
+	fanEdges(bld, 10, 11, 20, 1)
+	return bld.Build()
+}
+
+// keepGraph: the source 0 reaches 1 with p = 0.1, and 1 then reaches 58
+// private vertices (Δ(1) = 5.9); 0 reaches 2 and 3, each of which reaches
+// 4 with p = 0.05, and 4 leads over 5 to 78 more (Δ(4) = 7.8, Δ(2) = Δ(3)
+// = 4.8 while the other is unblocked). With b = 2, GreedyReplace blocks 1
+// and one of 2, 3 in phase 1, swaps the latter for 4, then keeps 1. The
+// samples holding 1 and those holding 4 mostly differ, so an unreported
+// flip of either one leaves most samples stale and changes the pick:
+// 1 unblocked unreported leaves Δ(1) ≈ 0.6 < Δ(2) = 1, and 4 blocked
+// unreported leaves Δ(5) ≈ 6.9 > Δ(1).
+func keepGraph() *graph.Graph {
+	bld := graph.NewBuilder(142)
+	bld.AddEdge(0, 1, 0.1)
+	bld.AddEdge(0, 2, 1)
+	bld.AddEdge(0, 3, 1)
+	fanEdges(bld, 1, 6, 63, 1)
+	bld.AddEdge(2, 4, 0.05)
+	bld.AddEdge(3, 4, 0.05)
+	bld.AddEdge(4, 5, 1)
+	fanEdges(bld, 5, 64, 141, 1)
+	return bld.Build()
 }
 
 // TestIncrementalEstimatorMatchesExample2 anchors the incremental path to

@@ -15,8 +15,8 @@ import (
 // The arena replaces the ~3θ separate heap slices of the original pooled
 // storage with five flat backing arrays and per-sample offsets: sample
 // construction stops paying one allocation trio per sample, the garbage
-// collector sees O(1) pointers instead of O(θ), and the per-round scans of
-// PooledEstimator / IncrementalPooledEstimator walk memory sequentially.
+// collector sees O(1) pointers instead of O(θ), and the incremental
+// estimator's per-round scans walk memory sequentially.
 //
 // The inverted index answers "which samples contain vertex v" in O(1) + the
 // answer size — the sparsity that IncrementalPooledEstimator exploits:
@@ -63,16 +63,6 @@ type SamplePool struct {
 	idxSample []int32
 }
 
-// sampleView is a borrowed, zero-copy view of one pooled sample in the
-// compact local-id form produced by cascade samplers (local 0 = source).
-type sampleView struct {
-	orig     []graph.V
-	outStart []int32
-	outTo    []int32
-	inStart  []int32
-	inTo     []int32
-}
-
 // poolWorkers resolves the worker count for pool construction and scans the
 // same way the estimators do, so a pool built with Options.Workers w is
 // bit-identical to the pre-arena pooled storage with the same w.
@@ -103,12 +93,12 @@ type drawShard struct {
 
 // appendSample copies one sampled graph into the shard buffers.
 func (sh *drawShard) appendSample(sg *cascade.SampledGraph) {
-	sh.orig = append(sh.orig, sg.Orig[:sg.K]...)
-	sh.csr = append(sh.csr, sg.OutStart[:sg.K+1]...)
+	sh.orig = append(sh.orig, sg.Orig...)
+	sh.csr = append(sh.csr, sg.OutStart...)
 	sh.to = append(sh.to, sg.OutTo...)
-	sh.inCSR = append(sh.inCSR, sg.InStart[:sg.K+1]...)
+	sh.inCSR = append(sh.inCSR, sg.InStart...)
 	sh.from = append(sh.from, sg.InTo...)
-	sh.ks = append(sh.ks, int32(sg.K))
+	sh.ks = append(sh.ks, int32(sg.N))
 	sh.es = append(sh.es, int32(len(sg.OutTo)))
 }
 
@@ -263,16 +253,19 @@ func (p *SamplePool) Graph() *graph.Graph { return p.g }
 // Source returns the source vertex the samples were drawn from.
 func (p *SamplePool) Source() graph.V { return p.src }
 
-// view fills v with sample i's data as borrowed arena slices.
-func (p *SamplePool) view(i int, v *sampleView) {
+// view fills sg with sample i as borrowed arena slices, in the form the
+// sampler produced it (local 0 = source). sg must not be built into: its
+// arrays are the pool's.
+func (p *SamplePool) view(i int, sg *cascade.SampledGraph) {
 	vs, ve := p.vertStart[i], p.vertStart[i+1]
 	cs := vs + int64(i)
 	es, ee := p.edgeStart[i], p.edgeStart[i+1]
-	v.orig = p.vertOrig[vs:ve]
-	v.outStart = p.csrStart[cs : cs+(ve-vs)+1]
-	v.outTo = p.edgeTo[es:ee]
-	v.inStart = p.csrInStart[cs : cs+(ve-vs)+1]
-	v.inTo = p.inFrom[es:ee]
+	sg.Orig = p.vertOrig[vs:ve]
+	sg.N = int(ve - vs)
+	sg.OutStart = p.csrStart[cs : cs+(ve-vs)+1]
+	sg.OutTo = p.edgeTo[es:ee]
+	sg.InStart = p.csrInStart[cs : cs+(ve-vs)+1]
+	sg.InTo = p.inFrom[es:ee]
 }
 
 // SamplesContaining returns the ascending ids of the samples whose reachable

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/imin-dev/imin/internal/cascade"
@@ -9,6 +10,88 @@ import (
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
 )
+
+// PooledEstimator is the straight-line reference for the pool-backed
+// estimator: every DecreaseES call re-scans all θ stored samples through
+// the kernel's filter path — never the no-blocked shortcut — with no state
+// carried between calls. IncrementalPooledEstimator must match it bit for
+// bit over the same pool, for every blocker sequence and worker count.
+type PooledEstimator struct {
+	pool    *SamplePool
+	workers int
+	scratch []*pooledWorker
+}
+
+// NewPooledEstimator draws theta samples from the sampler into a fresh pool
+// and wraps it. workers <= 0 selects GOMAXPROCS.
+func NewPooledEstimator(sampler cascade.LiveSampler, src graph.V, theta, workers int, base *rng.Source) *PooledEstimator {
+	return NewPooledEstimatorFromPool(NewSamplePool(sampler, src, theta, workers, base), workers)
+}
+
+// NewPooledEstimatorFromPool wraps an existing pool without copying it; the
+// pool may be shared with other estimators.
+func NewPooledEstimatorFromPool(pool *SamplePool, workers int) *PooledEstimator {
+	return &PooledEstimator{
+		pool:    pool,
+		workers: poolWorkers(workers, pool.Theta()),
+	}
+}
+
+// Theta returns the stored sample count.
+func (p *PooledEstimator) Theta() int { return p.pool.Theta() }
+
+type pooledWorker struct {
+	sampleKernel
+	sview cascade.SampledGraph
+	acc   []int64
+}
+
+func (p *PooledEstimator) worker(w int) *pooledWorker {
+	for len(p.scratch) <= w {
+		p.scratch = append(p.scratch, &pooledWorker{
+			sampleKernel: newSampleKernel(),
+			acc:          make([]int64, p.pool.g.N()),
+		})
+	}
+	return p.scratch[w]
+}
+
+// DecreaseES estimates Δ[u] on G[V\B] for every vertex from the stored
+// pool, writing into dst (length ≥ n). Deterministic given the pool.
+func (p *PooledEstimator) DecreaseES(dst []float64, blocked []bool) {
+	n := p.pool.g.N()
+	var wg sync.WaitGroup
+	theta := p.pool.Theta()
+	for w := 0; w < p.workers; w++ {
+		lo := w * theta / p.workers
+		hi := (w + 1) * theta / p.workers
+		st := p.worker(w)
+		wg.Add(1)
+		go func(st *pooledWorker, lo, hi int) {
+			defer wg.Done()
+			for i := range st.acc[:n] {
+				st.acc[i] = 0
+			}
+			for i := lo; i < hi; i++ {
+				p.pool.view(i, &st.sview)
+				forig, sizes := st.filterAndDominate(&st.sview, blocked)
+				for fl := 1; fl < len(forig); fl++ {
+					st.acc[forig[fl]] += int64(sizes[fl])
+				}
+			}
+		}(st, lo, hi)
+	}
+	wg.Wait()
+	inv := 1 / float64(theta)
+	for u := 0; u < n; u++ {
+		total := int64(0)
+		for w := 0; w < p.workers; w++ {
+			total += p.scratch[w].acc[u]
+		}
+		dst[u] = float64(total) * inv
+	}
+	dst[p.pool.src] = 0
+}
 
 func TestPooledEstimatorMatchesExample2(t *testing.T) {
 	g := fixture.Toy()

@@ -103,14 +103,14 @@ func TestSamplePoolRepairBitIdentical(t *testing.T) {
 			for _, i := range dirty {
 				mark[i] = true
 			}
-			var ov, nv sampleView
+			var ov, nv cascade.SampledGraph
 			for i := 0; i < theta; i++ {
 				if mark[i] {
 					continue
 				}
 				pool.view(i, &ov)
 				got.view(i, &nv)
-				if !reflect.DeepEqual(ov.orig, nv.orig) || !reflect.DeepEqual(ov.outTo, nv.outTo) {
+				if !reflect.DeepEqual(ov.Orig, nv.Orig) || !reflect.DeepEqual(ov.OutTo, nv.OutTo) {
 					t.Fatalf("seed=%d: clean sample %d changed content", seed, i)
 				}
 			}

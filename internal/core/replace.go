@@ -94,13 +94,8 @@ func solveGreedyReplace(halt stopper, in *instance, est *estBackend, b int, opt 
 		delta := est.decreaseES(in.src, blocked, round)
 		round++
 
+		// u is an unblocked candidate again, so pickMax returns a vertex.
 		best := pickMax(in, blocked, delta)
-		if best == -1 {
-			blocked[u] = true // nothing to swap in; keep u
-			est.noteFlip(u)
-			emitRound(opt, int(round)-1, "replace", u, roundStart, est, proc0, stole0)
-			continue
-		}
 		blocked[best] = true
 		est.noteFlip(best)
 		blockers[i] = best

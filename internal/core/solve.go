@@ -59,8 +59,9 @@ type Options struct {
 	Diffusion Diffusion
 	// ReuseSamples draws the θ live-edge samples once and reuses the pool
 	// across greedy rounds (common random numbers) instead of resampling
-	// every round — the DESIGN.md §6 "sampling reuse" variant, implemented
-	// by PooledEstimator. Costs memory proportional to θ × sample size.
+	// every round — the DESIGN.md §6 "sampling reuse" variant, run by
+	// IncrementalPooledEstimator. Costs memory proportional to θ × sample
+	// size.
 	ReuseSamples bool
 	// Timeout aborts the run after the given duration, returning the
 	// blockers selected so far with Result.TimedOut set. Zero means no

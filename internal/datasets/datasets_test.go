@@ -351,7 +351,7 @@ func TestSkewedCascade(t *testing.T) {
 	base := rng.New(10)
 	sizes := make([]int, 0, 400)
 	for i := 0; i < 400; i++ {
-		sizes = append(sizes, s.Sample(0, nil, base.Split(uint64(i)), ws).K)
+		sizes = append(sizes, s.Sample(0, nil, base.Split(uint64(i)), ws).N)
 	}
 	sort.Ints(sizes)
 	med, max := sizes[len(sizes)/2], sizes[len(sizes)-1]

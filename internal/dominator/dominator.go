@@ -22,13 +22,55 @@ package dominator
 
 // FlowGraph is the adjacency input: a directed graph in CSR form over
 // vertices [0, N). Both successor and predecessor lists are required.
-// It deliberately mirrors cascade.SampledGraph so samples convert for free.
+// It is also the format of every live-edge sample (cascade.SampledGraph
+// embeds it), and Build is the one place an edge list becomes one.
 type FlowGraph struct {
 	N        int
 	OutStart []int32
 	OutTo    []int32
 	InStart  []int32
 	InTo     []int32
+}
+
+// Build makes fg the flow graph over vertices [0, n) whose edges are
+// from[i]→to[i], reusing fg's arrays when they are large enough. Each
+// vertex's successors and predecessors keep the order of the edge list.
+// fg must own its arrays: Build overwrites them.
+func (fg *FlowGraph) Build(n int, from, to []int32) {
+	e := len(from)
+	// The row counts land two slots up, so after the prefix sum start[u+1]
+	// is the first slot of row u and serves as its fill cursor; once every
+	// edge is placed it has advanced to the row's end, which is where
+	// start[u+1] must point.
+	outStart, inStart := resize(fg.OutStart, n+2), resize(fg.InStart, n+2)
+	outTo, inTo := resize(fg.OutTo, e), resize(fg.InTo, e)
+	clear(outStart)
+	clear(inStart)
+	for i, u := range from {
+		outStart[u+2]++
+		inStart[to[i]+2]++
+	}
+	for i := 2; i <= n; i++ {
+		outStart[i+1] += outStart[i]
+		inStart[i+1] += inStart[i]
+	}
+	for i, u := range from {
+		v := to[i]
+		outTo[outStart[u+1]] = v
+		outStart[u+1]++
+		inTo[inStart[v+1]] = u
+		inStart[v+1]++
+	}
+	*fg = FlowGraph{N: n, OutStart: outStart[:n+1], OutTo: outTo, InStart: inStart[:n+1], InTo: inTo}
+}
+
+// resize returns s at length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n, n+n/2)
+	}
+	return s[:n]
 }
 
 // Succ returns the successors of v.
@@ -165,36 +207,21 @@ func (ws *Workspace) compressEval(v int32) int32 {
 	return ws.label[v]
 }
 
-// SubtreeSizes fills sizes[v] with the number of vertices in v's dominator
-// subtree (including v itself) given a Tree; unreachable vertices get 0.
-// By Theorem 6, sizes[v] == σ→v(root, g). sizes must have length ≥ fg.N.
-func (ws *Workspace) SubtreeSizes(t *Tree, sizes []int32) {
-	for v := range sizes {
-		sizes[v] = 0
-	}
+// SubtreeSizes fills sizes[v] with the number of vertices below real in
+// v's dominator subtree, v included; vertices ≥ real weigh 0, and
+// unreachable vertices get 0. With real = fg.N, Theorem 6 gives sizes[v] ==
+// σ→v(root, g). A smaller bound serves graphs that number auxiliary
+// vertices after the real ones, such as the edge-blocking split graph.
+// sizes must have length ≥ fg.N.
+func (ws *Workspace) SubtreeSizes(t *Tree, real int, sizes []int32) {
+	clear(sizes)
 	// Every reachable vertex starts as its own subtree; accumulate upward
 	// in decreasing DFS order — idom(w) always has a smaller DFS number
 	// than w because it is a DFS-tree ancestor of w.
 	for i := 1; i <= t.Reached; i++ {
-		sizes[ws.vertex[i]] = 1
-	}
-	for i := int32(t.Reached); i >= 2; i-- {
-		w := ws.vertex[i]
-		sizes[t.Idom[w]] += sizes[w]
-	}
-}
-
-// WeightedSubtreeSizes is SubtreeSizes with a per-vertex weight instead of
-// the constant 1: sizes[v] = Σ weight(w) over v's dominator subtree. The
-// edge-blocking extension uses it on edge-split graphs, where auxiliary
-// edge-vertices carry weight 0 so only real vertices are counted.
-func (ws *Workspace) WeightedSubtreeSizes(t *Tree, weight func(v int32) int32, sizes []int32) {
-	for v := range sizes {
-		sizes[v] = 0
-	}
-	for i := 1; i <= t.Reached; i++ {
-		v := ws.vertex[i]
-		sizes[v] = weight(v)
+		if v := ws.vertex[i]; int(v) < real {
+			sizes[v] = 1
+		}
 	}
 	for i := int32(t.Reached); i >= 2; i-- {
 		w := ws.vertex[i]

@@ -1,6 +1,7 @@
 package dominator
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,27 +10,13 @@ import (
 
 // build constructs a FlowGraph from an edge list over n vertices.
 func build(n int, edges [][2]int32) *FlowGraph {
-	fg := &FlowGraph{N: n}
-	fg.OutStart = make([]int32, n+1)
-	fg.InStart = make([]int32, n+1)
-	for _, e := range edges {
-		fg.OutStart[e[0]+1]++
-		fg.InStart[e[1]+1]++
+	from := make([]int32, len(edges))
+	to := make([]int32, len(edges))
+	for i, e := range edges {
+		from[i], to[i] = e[0], e[1]
 	}
-	for i := 0; i < n; i++ {
-		fg.OutStart[i+1] += fg.OutStart[i]
-		fg.InStart[i+1] += fg.InStart[i]
-	}
-	fg.OutTo = make([]int32, len(edges))
-	fg.InTo = make([]int32, len(edges))
-	fillO := make([]int32, n)
-	fillI := make([]int32, n)
-	for _, e := range edges {
-		fg.OutTo[fg.OutStart[e[0]]+fillO[e[0]]] = e[1]
-		fillO[e[0]]++
-		fg.InTo[fg.InStart[e[1]]+fillI[e[1]]] = e[0]
-		fillI[e[1]]++
-	}
+	fg := &FlowGraph{}
+	fg.Build(n, from, to)
 	return fg
 }
 
@@ -88,7 +75,7 @@ func TestToySubtreeSizes(t *testing.T) {
 	ws := NewWorkspace(fg.N)
 	tr := ws.SNCA(fg, 0)
 	sizes := make([]int32, fg.N)
-	ws.SubtreeSizes(tr, sizes)
+	ws.SubtreeSizes(tr, fg.N, sizes)
 	// Full structural graph (all edges live): v5's subtree is
 	// {v5,v3,v6,v9,v8,v7} = 6; v8's is {v8,v7} = 2; leaves are 1; root 9.
 	want := []int32{0: 9, 1: 1, 3: 1, 4: 6, 2: 1, 5: 1, 8: 1, 7: 2, 6: 1}
@@ -138,7 +125,7 @@ func TestSingleVertex(t *testing.T) {
 		t.Fatalf("single vertex: reached=%d idom=%d", tr.Reached, tr.Idom[0])
 	}
 	sizes := make([]int32, 1)
-	ws.SubtreeSizes(tr, sizes)
+	ws.SubtreeSizes(tr, fg.N, sizes)
 	if sizes[0] != 1 {
 		t.Fatalf("single vertex subtree = %d", sizes[0])
 	}
@@ -159,7 +146,7 @@ func TestUnreachableVertices(t *testing.T) {
 		t.Error("unreachable vertices must have idom -1")
 	}
 	sizes := make([]int32, 4)
-	ws.SubtreeSizes(tr, sizes)
+	ws.SubtreeSizes(tr, fg.N, sizes)
 	if sizes[2] != 0 || sizes[3] != 0 {
 		t.Error("unreachable vertices must have subtree size 0")
 	}
@@ -187,7 +174,7 @@ func TestDiamond(t *testing.T) {
 		t.Fatalf("diamond idom(3) = %d, want 0", tr.Idom[3])
 	}
 	sizes := make([]int32, 4)
-	ws.SubtreeSizes(tr, sizes)
+	ws.SubtreeSizes(tr, fg.N, sizes)
 	if sizes[1] != 1 || sizes[2] != 1 || sizes[0] != 4 {
 		t.Fatalf("diamond sizes = %v", sizes)
 	}
@@ -210,7 +197,7 @@ func TestLongPathDeepRecursionSafe(t *testing.T) {
 		}
 	}
 	sizes := make([]int32, n)
-	ws.SubtreeSizes(tr, sizes)
+	ws.SubtreeSizes(tr, fg.N, sizes)
 	if sizes[0] != int32(n) || sizes[n-1] != 1 {
 		t.Fatalf("path sizes wrong: root=%d leaf=%d", sizes[0], sizes[n-1])
 	}
@@ -230,6 +217,46 @@ func randomEdges(r *rng.Source, n, m int) [][2]int32 {
 
 // randomFlow builds a random digraph for property tests.
 func randomFlow(r *rng.Source, n, m int) *FlowGraph { return build(n, randomEdges(r, n, m)) }
+
+// Property: Build lists each vertex's successors and predecessors in
+// edge-list order, also when one FlowGraph is rebuilt over graphs of
+// varying size.
+func TestBuildKeepsEdgeOrderProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		var fg FlowGraph
+		for round := 0; round < 8; round++ {
+			n := r.Intn(30) + 1
+			edges := randomEdges(r, n, r.Intn(90))
+			from := make([]int32, len(edges))
+			to := make([]int32, len(edges))
+			for i, e := range edges {
+				from[i], to[i] = e[0], e[1]
+			}
+			fg.Build(n, from, to)
+			succ := make([][]int32, n)
+			pred := make([][]int32, n)
+			for _, e := range edges {
+				succ[e[0]] = append(succ[e[0]], e[1])
+				pred[e[1]] = append(pred[e[1]], e[0])
+			}
+			if fg.N != n || len(fg.OutStart) != n+1 || len(fg.InStart) != n+1 {
+				return false
+			}
+			for v := int32(0); int(v) < n; v++ {
+				if !slices.Equal(fg.Succ(v), succ[v]) || !slices.Equal(fg.Pred(v), pred[v]) {
+					t.Logf("seed=%d round=%d v=%d: succ %v want %v, pred %v want %v",
+						seed, round, v, fg.Succ(v), succ[v], fg.Pred(v), pred[v])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // Property: SNCA and the naive oracle agree on random digraphs, including
 // graphs with cycles and unreachable parts.
@@ -265,7 +292,7 @@ func TestSubtreeSizesMatchDefinitionProperty(t *testing.T) {
 		ws := NewWorkspace(n)
 		tr := ws.SNCA(fg, 0)
 		sizes := make([]int32, n)
-		ws.SubtreeSizes(tr, sizes)
+		ws.SubtreeSizes(tr, fg.N, sizes)
 		naive := NaiveSubtreeSizes(fg, 0)
 		for v := 0; v < n; v++ {
 			if sizes[v] != naive[v] {

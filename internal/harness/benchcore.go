@@ -1,10 +1,10 @@
-// benchcore.go measures the per-round cost of the three DecreaseES
-// estimator modes outside the Go testing framework, so cmd/experiments can
+// benchcore.go measures the per-round cost of the two DecreaseES
+// estimator modes (fresh and incremental) outside the Go testing framework, so cmd/experiments can
 // emit a committed JSON baseline (BENCH_core.json) that future changes are
 // regressed against. The workload mirrors internal/core's
 // BenchmarkDecreaseES_* benchmarks: a b-round AdvancedGreedy trajectory on
 // the ~100k-edge serving benchmark graph, replayed per estimator. On top of
-// the three modes it sweeps the incremental estimator across worker counts
+// the two modes it sweeps the incremental estimator across worker counts
 // (1, 2, 4, GOMAXPROCS) to record the sharded fast path's scaling curve —
 // and, because the shard reduction is deterministic, it asserts along the
 // way that every worker count selects bit-identical blockers.
@@ -217,7 +217,6 @@ type BenchCoreReport struct {
 	GoVersion   string        `json:"go_version"`
 	GeneratedBy string        `json:"generated_by"`
 	Fresh       BenchCoreMode `json:"fresh"`
-	Pooled      BenchCoreMode `json:"pooled"`
 	Incremental BenchCoreMode `json:"incremental"`
 	// ContentionProfile is the per-shard work breakdown of the headline
 	// incremental measurement; SamplesStolen is its total cross-shard
@@ -238,11 +237,9 @@ type BenchCoreReport struct {
 	Persist *BenchCorePersist `json:"persist,omitempty"`
 	// Instrumentation measures the per-round cost of the OnRound
 	// observability hook against the identical unhooked solve.
-	Instrumentation            *BenchCoreInstrumentation `json:"instrumentation,omitempty"`
-	SpeedupPooledVsFresh       float64                   `json:"speedup_pooled_vs_fresh"`
-	SpeedupIncrementalVsPooled float64                   `json:"speedup_incremental_vs_pooled"`
-	SpeedupIncrementalVsFresh  float64                   `json:"speedup_incremental_vs_fresh"`
-	SpeedupIncremental4WVs1W   float64                   `json:"speedup_incremental_4w_vs_1w"`
+	Instrumentation           *BenchCoreInstrumentation `json:"instrumentation,omitempty"`
+	SpeedupIncrementalVsFresh float64                   `json:"speedup_incremental_vs_fresh"`
+	SpeedupIncremental4WVs1W  float64                   `json:"speedup_incremental_4w_vs_1w"`
 }
 
 // sweepWorkers returns the deduplicated ascending worker counts to sweep:
@@ -320,7 +317,7 @@ func effectiveWorkers(workers, theta int) int {
 	return workers
 }
 
-// RunBenchCore builds the benchmark instance, measures the three modes and
+// RunBenchCore builds the benchmark instance, measures the two modes and
 // the incremental worker sweep, and writes the report table to cfg.Out
 // (and JSON to opt.JSONPath, if set).
 func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
@@ -384,12 +381,12 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	rep.PoolBuildMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	rep.PoolBytes = pool.MemoryBytes()
 
-	// One greedy trajectory, recorded over the pooled estimator, replayed
-	// by every mode so the measurement isolates DecreaseES.
+	// One greedy trajectory, recorded over a fresh incremental estimator,
+	// replayed by every mode so the measurement isolates DecreaseES.
 	n := unified.N()
 	blocked := make([]bool, n)
 	delta := make([]float64, n)
-	pooled := core.NewPooledEstimatorFromPool(pool, cfg.Workers)
+	recorder := core.NewIncrementalPooledEstimatorFromPool(pool, cfg.Workers)
 	pickBest := func(delta []float64) graph.V {
 		best := graph.V(-1)
 		for v := graph.V(0); int(v) < g.N(); v++ {
@@ -404,7 +401,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	}
 	traj := make([]graph.V, 0, opt.Budget)
 	for round := 0; round < opt.Budget; round++ {
-		pooled.DecreaseES(delta, blocked)
+		recorder.DecreaseES(delta, blocked)
 		best := pickBest(delta)
 		if best == -1 {
 			return nil, fmt.Errorf("benchcore: ran out of candidates at round %d", round)
@@ -444,25 +441,13 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		SamplesPerSec: float64(cfg.Theta) / ns * 1e9, DirtySamplesPerRound: float64(cfg.Theta),
 		Workers: mainWorkers, NumCPU: rep.NumCPU}
 
-	// Pooled: full re-scan of the stored pool every round.
-	ns, by, _ = measure(func() {
-		for _, v := range traj {
-			pooled.DecreaseES(delta, blocked)
-			blocked[v] = true
-		}
-		clear(blocked)
-	})
-	rep.Pooled = BenchCoreMode{NsPerRound: ns, BytesPerRound: by,
-		SamplesPerSec: float64(cfg.Theta) / ns * 1e9, DirtySamplesPerRound: float64(cfg.Theta),
-		Workers: mainWorkers, NumCPU: rep.NumCPU}
-
 	// Incremental: persistent estimator per sweep point, flips reported,
 	// priming included in the first run and amortized like a warm session
 	// would. The measurement goes through the zero-copy view API — the
 	// path the greedy loops run — so it excludes the O(n) dst fill that
 	// only the compatibility wrappers pay. Before timing a point, one
 	// greedy selection re-derives the trajectory at that worker count and
-	// is checked against the pooled trajectory — the
+	// is checked against the recorded trajectory — the
 	// bit-identical-blockers guarantee, exercised at serving size.
 	rep.BlockersIdenticalAcrossWorkers = true
 	measureIncremental := func(workers int) (BenchCoreMode, []core.ShardProfile, int64, error) {
@@ -548,8 +533,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		}
 	}
 
-	rep.SpeedupPooledVsFresh = rep.Fresh.NsPerRound / rep.Pooled.NsPerRound
-	rep.SpeedupIncrementalVsPooled = rep.Pooled.NsPerRound / rep.Incremental.NsPerRound
 	rep.SpeedupIncrementalVsFresh = rep.Fresh.NsPerRound / rep.Incremental.NsPerRound
 
 	if opt.ScalingFloor > 0 {
@@ -659,12 +642,11 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		for _, row := range []struct {
 			name string
 			m    BenchCoreMode
-		}{{"fresh", rep.Fresh}, {"pooled", rep.Pooled}, {"incremental", rep.Incremental}} {
+		}{{"fresh", rep.Fresh}, {"incremental", rep.Incremental}} {
 			fmt.Fprintf(cfg.Out, "%-12s %8d %14.0f %16.0f %14.0f %18.1f\n",
 				row.name, row.m.Workers, row.m.NsPerRound, row.m.SamplesPerSec, row.m.BytesPerRound, row.m.DirtySamplesPerRound)
 		}
-		fmt.Fprintf(cfg.Out, "speedups: pooled/fresh %.2fx, incremental/pooled %.2fx, incremental/fresh %.2fx\n",
-			rep.SpeedupPooledVsFresh, rep.SpeedupIncrementalVsPooled, rep.SpeedupIncrementalVsFresh)
+		fmt.Fprintf(cfg.Out, "speedup: incremental/fresh %.2fx\n", rep.SpeedupIncrementalVsFresh)
 		fmt.Fprintf(cfg.Out, "incremental worker sweep (blockers identical across counts: %v):\n",
 			rep.BlockersIdenticalAcrossWorkers)
 		for _, pt := range rep.IncrementalScaling {

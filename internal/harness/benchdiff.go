@@ -8,8 +8,8 @@
 //     ungated.
 //   - ratio:   dimensionless speedups. Hardware mostly cancels out of a
 //     ratio, so these gate on every run — they are the trajectory the
-//     paper's claims rest on (warm pools beat fresh sampling, incremental
-//     beats pooled, workers scale).
+//     paper's claims rest on (the incremental estimator beats fresh
+//     sampling, workers scale).
 //   - bar:     absolute acceptance bars (instrumentation overhead ≤ 2%).
 //   - bool:    determinism contracts that must simply hold (bit-identical
 //     blockers across workers, bit-identical pool repair).
@@ -169,13 +169,10 @@ func RunBenchDiff(base, cand *BenchCoreReport, opt BenchDiffOptions) (*BenchDiff
 
 	// Absolute timings: gated only on matching hardware provenance.
 	higherWorse("fresh.ns_per_round", "timing", base.Fresh.NsPerRound, cand.Fresh.NsPerRound, tt, hw)
-	higherWorse("pooled.ns_per_round", "timing", base.Pooled.NsPerRound, cand.Pooled.NsPerRound, tt, hw)
 	higherWorse("incremental.ns_per_round", "timing", base.Incremental.NsPerRound, cand.Incremental.NsPerRound, tt, hw)
 	higherWorse("pool_build_ms", "timing", base.PoolBuildMS, cand.PoolBuildMS, tt, hw)
 
 	// Dimensionless ratios: always gated.
-	lowerWorse("speedup_pooled_vs_fresh", "ratio", base.SpeedupPooledVsFresh, cand.SpeedupPooledVsFresh, rt, true)
-	lowerWorse("speedup_incremental_vs_pooled", "ratio", base.SpeedupIncrementalVsPooled, cand.SpeedupIncrementalVsPooled, rt, true)
 	lowerWorse("speedup_incremental_vs_fresh", "ratio", base.SpeedupIncrementalVsFresh, cand.SpeedupIncrementalVsFresh, rt, true)
 	lowerWorse("speedup_incremental_4w_vs_1w", "ratio", base.SpeedupIncremental4WVs1W, cand.SpeedupIncremental4WVs1W, rt, true)
 
@@ -244,10 +241,7 @@ type BenchHistoryEntry struct {
 	Regressions   []string `json:"regressions,omitempty"`
 
 	FreshNsPerRound            float64 `json:"fresh_ns_per_round"`
-	PooledNsPerRound           float64 `json:"pooled_ns_per_round"`
 	IncrementalNsPerRound      float64 `json:"incremental_ns_per_round"`
-	SpeedupPooledVsFresh       float64 `json:"speedup_pooled_vs_fresh"`
-	SpeedupIncrementalVsPooled float64 `json:"speedup_incremental_vs_pooled"`
 	SpeedupIncrementalVsFresh  float64 `json:"speedup_incremental_vs_fresh"`
 	InstrumentationOverheadPct float64 `json:"instrumentation_overhead_pct,omitempty"`
 }
@@ -264,12 +258,9 @@ func AppendBenchHistory(path string, cand *BenchCoreReport, res *BenchDiffResult
 		HardwareMatch: res.HardwareMatch,
 		Regressions:   res.Regressions,
 
-		FreshNsPerRound:            round4(cand.Fresh.NsPerRound),
-		PooledNsPerRound:           round4(cand.Pooled.NsPerRound),
-		IncrementalNsPerRound:      round4(cand.Incremental.NsPerRound),
-		SpeedupPooledVsFresh:       round4(cand.SpeedupPooledVsFresh),
-		SpeedupIncrementalVsPooled: round4(cand.SpeedupIncrementalVsPooled),
-		SpeedupIncrementalVsFresh:  round4(cand.SpeedupIncrementalVsFresh),
+		FreshNsPerRound:           round4(cand.Fresh.NsPerRound),
+		IncrementalNsPerRound:     round4(cand.Incremental.NsPerRound),
+		SpeedupIncrementalVsFresh: round4(cand.SpeedupIncrementalVsFresh),
 	}
 	if cand.Instrumentation != nil {
 		e.InstrumentationOverheadPct = round4(cand.Instrumentation.OverheadPct)

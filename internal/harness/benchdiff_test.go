@@ -22,10 +22,7 @@ func sampleReport() *BenchCoreReport {
 	rep.Graph.Edges = 100000
 	rep.Graph.NumSeeds = 10
 	rep.Fresh = BenchCoreMode{NsPerRound: 9e6}
-	rep.Pooled = BenchCoreMode{NsPerRound: 3e6}
 	rep.Incremental = BenchCoreMode{NsPerRound: 4e5}
-	rep.SpeedupPooledVsFresh = 3
-	rep.SpeedupIncrementalVsPooled = 7.5
 	rep.SpeedupIncrementalVsFresh = 22.5
 	rep.SpeedupIncremental4WVs1W = 2.5
 	rep.BlockersIdenticalAcrossWorkers = true
@@ -115,12 +112,12 @@ func TestBenchDiffHardwareMismatchUngatesTimings(t *testing.T) {
 		t.Fatalf("ungated timing delta failed the gate: %v", res.Regressions)
 	}
 
-	cand.SpeedupIncrementalVsPooled = base.SpeedupIncrementalVsPooled * 0.7
+	cand.SpeedupIncrementalVsFresh = base.SpeedupIncrementalVsFresh * 0.7
 	res, err = RunBenchDiff(base, cand, BenchDiffOptions{})
 	if err != nil {
 		t.Fatalf("RunBenchDiff: %v", err)
 	}
-	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "speedup_incremental_vs_pooled") {
+	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "speedup_incremental_vs_fresh") {
 		t.Fatalf("regressions = %v, want the ratio gate to fire despite hardware mismatch", res.Regressions)
 	}
 }
