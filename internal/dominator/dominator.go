@@ -79,8 +79,8 @@ func (fg *FlowGraph) Succ(v int32) []int32 { return fg.OutTo[fg.OutStart[v]:fg.O
 // Pred returns the predecessors of v.
 func (fg *FlowGraph) Pred(v int32) []int32 { return fg.InTo[fg.InStart[v]:fg.InStart[v+1]] }
 
-// Tree is the result of a dominator computation. Slices alias Workspace
-// storage and are valid until the next computation with the same Workspace.
+// Tree is the result of a dominator computation. It lives in the Workspace
+// and is valid until the next computation with the same Workspace.
 type Tree struct {
 	// Root is the source vertex.
 	Root int32
@@ -102,6 +102,7 @@ type Workspace struct {
 	idom     []int32
 	stack    []int32 // shared scratch for DFS frames and path compression
 	stackIdx []int32 // neighbor cursor parallel to DFS stack
+	tree     Tree    // the latest result, returned by pointer
 }
 
 // NewWorkspace returns a Workspace able to handle graphs of up to n

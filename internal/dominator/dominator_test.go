@@ -332,6 +332,16 @@ func TestWorkspaceReuseProperty(t *testing.T) {
 	}
 }
 
+// TestSNCAAllocatesNothing: once the workspace has grown, a dominator run
+// allocates nothing, the returned Tree included.
+func TestSNCAAllocatesNothing(t *testing.T) {
+	fg := toyFlow()
+	ws := NewWorkspace(fg.N)
+	if allocs := testing.AllocsPerRun(20, func() { ws.SNCA(fg, 0) }); allocs != 0 {
+		t.Fatalf("SNCA allocates %v objects per run", allocs)
+	}
+}
+
 func BenchmarkSNCARandom(b *testing.B) {
 	r := rng.New(1)
 	fg := randomFlow(r, 10000, 50000)

@@ -9,8 +9,8 @@ package dominator
 // number does not exceed the vertex's semidominator (the "nearest common
 // ancestor" step). Same tree, simpler bookkeeping.
 //
-// The returned Tree aliases Workspace storage: it is valid until the next
-// computation with the same Workspace.
+// The returned Tree is Workspace storage, so the call allocates nothing:
+// it is valid until the next computation with the same Workspace.
 func (ws *Workspace) SNCA(fg *FlowGraph, root int32) *Tree {
 	ws.grow(fg.N)
 	k := ws.dfs(fg, root)
@@ -56,5 +56,6 @@ func (ws *Workspace) SNCA(fg *FlowGraph, root int32) *Tree {
 	}
 	ws.idom[root] = -1
 
-	return &Tree{Root: root, Idom: ws.idom, Reached: k}
+	ws.tree = Tree{Root: root, Idom: ws.idom, Reached: k}
+	return &ws.tree
 }
