@@ -146,7 +146,7 @@ func main() {
 	// benchcore is the estimator cost baseline, not a paper experiment; it
 	// writes BENCH_core.json and only runs when named explicitly.
 	if want["benchcore"] {
-		section("Estimator benchmark (DecreaseES fresh vs pooled vs incremental)")
+		section("Estimator benchmark (DecreaseES fresh vs incremental)")
 		_, err := harness.RunBenchCore(cfg, harness.BenchCoreOptions{
 			Budget:       *benchB,
 			MinTime:      *benchMin,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/imin-dev/imin/internal/cascade"
 	"github.com/imin-dev/imin/internal/dominator"
 	"github.com/imin-dev/imin/internal/graph"
@@ -45,9 +47,9 @@ func (k *sampleKernel) memoryBytes() int64 {
 // dominate returns the sample's vertices (original ids; index 0 = the
 // source) that stay reachable under the blocker set, with each one's
 // dominator-subtree size. A sample holding no blocked vertex — every
-// fresh sample (the sampler already skipped blocked vertices), every
-// priming-round pool sample, dirty samples whose flips were all unblocks
-// — already is the flow graph, so it goes straight to the dominator
+// fresh sample (the sampler already skipped blocked vertices), every pool
+// sample while nothing is blocked, dirty samples whose flips were all
+// unblocks — already is the flow graph, so it goes straight to the dominator
 // computation; any other takes the filter path. A flow graph has exactly
 // one dominator tree, so both paths return identical sizes. The returned
 // slices alias kernel or sample storage and are valid until the next call.
@@ -68,8 +70,8 @@ func (k *sampleKernel) dominate(s *cascade.SampledGraph, blocked []bool) ([]grap
 // sample of G produces a live-edge sample of G[V\B], so estimates built on
 // the result stay unbiased for the blocked graph.
 func (k *sampleKernel) filterAndDominate(s *cascade.SampledGraph, blocked []bool) ([]graph.V, []int32) {
-	k.stamp = growI32(k.stamp, s.N)
-	k.flocal = growI32(k.flocal, s.N)
+	k.stamp = slices.Grow(k.stamp[:0], s.N)[:s.N]
+	k.flocal = slices.Grow(k.flocal[:0], s.N)[:s.N]
 	k.stampGen++
 	if k.stampGen == 0 {
 		// Wrapped: 0 is the one value no generation takes. The whole
@@ -139,14 +141,7 @@ func (k *sampleKernel) dominateSplit(s *cascade.SampledGraph) []int32 {
 // counting vertices below real (aliasing kernel storage).
 func (k *sampleKernel) subtreeSizes(fg *dominator.FlowGraph, real int) []int32 {
 	tree := k.dws.SNCA(fg, 0)
-	k.sizes = growI32(k.sizes, fg.N)
+	k.sizes = slices.Grow(k.sizes[:0], fg.N)[:fg.N]
 	k.dws.SubtreeSizes(tree, real, k.sizes)
 	return k.sizes
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n, n+n/2)
-	}
-	return s[:n]
 }
