@@ -46,16 +46,13 @@ func main() {
 		datasets   = flag.String("datasets", "", "comma-separated dataset filter (full or short names)")
 		csvDir     = flag.String("csv-dir", "", "also write each experiment's rows as CSV into this directory")
 		benchOut   = flag.String("bench-out", "BENCH_core.json", "JSON output path for -exp benchcore")
-		benchB     = flag.Int("bench-budget", 10, "greedy rounds per benchcore run")
-		benchMin   = flag.Duration("bench-mintime", 2*time.Second, "minimum measuring time per benchcore mode and sweep point")
-		benchForce = flag.Bool("force", false, "overwrite an existing -bench-out measured under a different worker configuration")
+		benchMin   = flag.Duration("bench-mintime", 2*time.Second, "minimum measuring time of each benchcore timed loop")
+		benchForce = flag.Bool("force", false, "overwrite an existing -bench-out measured under a different provenance")
 		benchFloor = flag.Float64("bench-scaling-floor", 0, "fail benchcore if the 4-worker speedup over 1 worker is below this (only on >=4-CPU machines; 0 disables)")
 
 		benchBaseline  = flag.String("bench-baseline", "BENCH_core.json", "committed baseline report for -exp benchdiff")
 		benchCandidate = flag.String("bench-candidate", "", "candidate report for -exp benchdiff (empty = measure a fresh one now)")
 		benchHistory   = flag.String("bench-history", "BENCH_history.jsonl", "JSONL perf-trajectory ledger benchdiff appends to (empty disables)")
-		benchTimingTol = flag.Float64("bench-timing-tolerance", 10, "allowed worsening of absolute timing metrics in percent before benchdiff fails")
-		benchRatioTol  = flag.Float64("bench-ratio-tolerance", 10, "allowed worsening of dimensionless ratio metrics in percent before benchdiff fails")
 	)
 	flag.Parse()
 	if len(exps) == 0 {
@@ -148,7 +145,6 @@ func main() {
 	if want["benchcore"] {
 		section("Estimator benchmark (DecreaseES fresh vs incremental)")
 		_, err := harness.RunBenchCore(cfg, harness.BenchCoreOptions{
-			Budget:       *benchB,
 			MinTime:      *benchMin,
 			JSONPath:     *benchOut,
 			Force:        *benchForce,
@@ -174,17 +170,10 @@ func main() {
 				fail(fmt.Errorf("loading candidate: %v", err))
 			}
 		} else {
-			cand, err = harness.RunBenchCore(cfg, harness.BenchCoreOptions{
-				Budget:  *benchB,
-				MinTime: *benchMin,
-			})
+			cand, err = harness.RunBenchCore(cfg, harness.BenchCoreOptions{MinTime: *benchMin})
 			failIf(err)
 		}
-		res, err := harness.RunBenchDiff(base, cand, harness.BenchDiffOptions{
-			TimingTolerancePct: *benchTimingTol,
-			RatioTolerancePct:  *benchRatioTol,
-			Out:                os.Stdout,
-		})
+		res, err := harness.RunBenchDiff(base, cand, os.Stdout)
 		failIf(err)
 		if *benchHistory != "" {
 			if err := harness.AppendBenchHistory(*benchHistory, cand, res); err != nil {

@@ -8,6 +8,10 @@
 // (1, 2, 4, GOMAXPROCS) to record the sharded fast path's scaling curve —
 // and, because the shard reduction is deterministic, it asserts along the
 // way that every worker count selects bit-identical blockers.
+//
+// The report is one provenance block plus one flat list of named metrics.
+// Each metric carries its class, and the class alone decides how benchdiff
+// gates it, so a new metric needs no gate code.
 package harness
 
 import (
@@ -32,24 +36,24 @@ import (
 	"github.com/imin-dev/imin/internal/store"
 )
 
+// The benchmark instance: the serving benchmark's preferential-attachment
+// graph (~100k edges) and the greedy round count b of every trajectory.
+const (
+	benchN              = 20_000
+	benchEdgesPerVertex = 5
+	benchBudget         = 10
+)
+
 // BenchCoreOptions parameterizes the estimator benchmark.
 type BenchCoreOptions struct {
-	// N and EdgesPerVertex shape the preferential-attachment graph
-	// (defaults 20000 and 5, the serving benchmark's ~100k edges).
-	N              int
-	EdgesPerVertex float64
-	// Budget is the greedy round count b (default 10).
-	Budget int
-	// MinTime is the minimum measuring time per mode and per sweep point
-	// (default 2s).
+	// MinTime is the minimum measuring time of each timed loop (default
+	// 2s).
 	MinTime time.Duration
 	// JSONPath, when non-empty, receives the report as indented JSON.
 	JSONPath string
-	// Force overwrites an existing JSONPath whose worker configuration
-	// (requested workers, GOMAXPROCS, sweep points) differs from this
-	// run's. Without it the run fails instead of silently replacing
-	// numbers measured under different parallelism — the provenance
-	// guard that keeps BENCH_core.json comparable across regenerations.
+	// Force overwrites an existing JSONPath whose provenance differs from
+	// this run's. Without it the run fails instead of silently replacing
+	// numbers measured under a different configuration or machine.
 	Force bool
 	// ScalingFloor, when > 0, fails the run if the 4-worker sweep point's
 	// speedup over 1 worker falls below it — but only on machines with at
@@ -59,145 +63,35 @@ type BenchCoreOptions struct {
 	ScalingFloor float64
 }
 
-// BenchCoreMode is one estimator's measurement.
-type BenchCoreMode struct {
-	NsPerRound    float64 `json:"ns_per_round"`
-	SamplesPerSec float64 `json:"samples_per_sec"`
-	BytesPerRound float64 `json:"bytes_per_round"`
-	// DirtySamplesPerRound is how many stored samples the round actually
-	// re-processed (θ for the full-scan modes; the measured average for
-	// the incremental mode, including its priming scan).
-	DirtySamplesPerRound float64 `json:"dirty_samples_per_round"`
-	// Workers is the effective worker count this measurement ran with
-	// (the requested count resolved against GOMAXPROCS and clamped to θ)
-	// — per-measurement provenance, so a single-threaded number can never
-	// masquerade as a parallel one. NumCPU is the machine's core count;
-	// together with Workers it tells a reader whether the workers actually
-	// ran in parallel or timeshared one core.
-	Workers int `json:"workers"`
-	NumCPU  int `json:"num_cpu"`
+// Metric classes: a metric's class decides how benchdiff gates it.
+const (
+	// ClassTiming is an absolute cost, lower is better. It gates only
+	// when the baseline's gomaxprocs, num_cpu and workers match.
+	ClassTiming = "timing"
+	// ClassRatio is a dimensionless speedup, higher is better. Hardware
+	// mostly cancels out of a ratio, so it gates on every run.
+	ClassRatio = "ratio"
+	// ClassBar is an acceptance bar: the value must not exceed Limit.
+	ClassBar = "bar"
+	// ClassBool is a contract that must hold: Value 1 is true, 0 false.
+	ClassBool = "bool"
+	// ClassInfo is recorded for readers and never gated.
+	ClassInfo = "info"
+)
+
+// BenchMetric is one measured number of a benchcore report.
+type BenchMetric struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+	Class string  `json:"class"`
+	// Limit is a bar metric's upper limit; other classes leave it 0.
+	Limit float64 `json:"limit,omitempty"`
 }
 
-// BenchCoreMutatePoint is one mutate-then-solve measurement: a batch of
-// edge-probability mutations lands on the serving graph, then one
-// estimation round runs — either through incremental repair of the warm
-// pool (SamplePool.Repair + RepairPool + a dirty-only round) or through a
-// full rebuild (fresh pool draw + priming scan). The repair path is what a
-// warm session pays per mutation batch; the rebuild path is what it paid
-// before the dynamic subsystem existed.
-type BenchCoreMutatePoint struct {
-	// BatchEdges is the number of mutated edges, FracOfEdges that count
-	// relative to the serving graph's edge count.
-	BatchEdges  int     `json:"batch_edges"`
-	FracOfEdges float64 `json:"frac_of_edges"`
-	// DirtySamples is how many of the θ stored samples the batch touched
-	// (and repair redrew).
-	DirtySamples int     `json:"dirty_samples"`
-	RepairNs     float64 `json:"repair_ns"`
-	RebuildNs    float64 `json:"rebuild_ns"`
-	// Speedup is RebuildNs / RepairNs.
-	Speedup float64 `json:"speedup_repair_vs_rebuild"`
-	// RepairBitIdentical records that the repaired estimator's Δ vector
-	// exactly equals the rebuilt one's — the correctness contract, asserted
-	// on the serving-size instance.
-	RepairBitIdentical bool `json:"repair_bit_identical"`
-	Workers            int  `json:"workers"`
-	NumCPU             int  `json:"num_cpu"`
-}
-
-// BenchCoreScalingPoint is one point of the incremental worker sweep.
-type BenchCoreScalingPoint struct {
-	// Workers is the estimator's shard count for this point; GoMaxProcs
-	// is the scheduler parallelism it actually ran under (points above
-	// GOMAXPROCS timeshare and are expected to flatline).
-	Workers    int     `json:"workers"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	NumCPU     int     `json:"num_cpu"`
-	NsPerRound float64 `json:"ns_per_round"`
-	// Speedup is workers=1 ns/round divided by this point's, Efficiency
-	// is Speedup/Workers (1.0 = perfect linear scaling).
-	Speedup    float64 `json:"speedup_vs_workers_1"`
-	Efficiency float64 `json:"scaling_efficiency"`
-}
-
-// BenchCoreShard is one worker shard's share of the headline incremental
-// measurement — the contention profile. Balanced Processed with zero Stolen
-// means the static θ-range partition alone kept the workers busy; heavy
-// Stolen means the dirty samples skewed and the work-stealing fallback
-// carried the imbalance.
-type BenchCoreShard struct {
-	Shard int `json:"shard"`
-	// Lo, Hi is the shard's owned sample range [Lo, Hi).
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Processed counts dirty samples this worker recomputed (own and
-	// stolen); Stolen is the subset claimed from other shards' batches.
-	Processed int64 `json:"processed"`
-	Stolen    int64 `json:"stolen"`
-	// Ns is the worker's cumulative wall-clock nanoseconds in the parallel
-	// dirty-processing phase across the timed rounds.
-	Ns int64 `json:"ns"`
-}
-
-// BenchCorePersistPolicy is the WAL write-through cost of one fsync policy:
-// what a durable mutate pays per batch (in-memory commit + WAL append +
-// policy-dependent fsync), against the bare in-memory commit baseline.
-type BenchCorePersistPolicy struct {
-	Policy string `json:"policy"`
-	// CommitAppendNs is commit + WAL append per batch under this policy.
-	CommitAppendNs float64 `json:"commit_append_ns"`
-	// AppendNs is the WAL's share (CommitAppendNs − bare commit).
-	AppendNs float64 `json:"append_ns"`
-	// OverheadPct is AppendNs as a percentage of the bare commit cost —
-	// the "WAL append overhead per mutate" headline number.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// BenchCoreRecoveryPoint is one recovery-time measurement: open the store,
-// load the snapshot, replay a WAL of the given length.
-type BenchCoreRecoveryPoint struct {
-	WALBatches      int     `json:"wal_batches"`
-	WALMutations    int     `json:"wal_mutations"`
-	WALBytes        int64   `json:"wal_bytes"`
-	RecoverMS       float64 `json:"recover_ms"`
-	ReplayedBatches int     `json:"replayed_batches"`
-}
-
-// BenchCorePersist is the durable-store section of BENCH_core.json: WAL
-// append overhead per mutate batch at each fsync policy, and recovery time
-// as a function of WAL length, both on the serving benchmark graph.
-type BenchCorePersist struct {
-	// BatchMutations is the set-prob mutations per measured batch.
-	BatchMutations int `json:"batch_mutations"`
-	// CommitNs is the bare in-memory commit per batch — the mutate latency
-	// the WAL overhead is relative to.
-	CommitNs float64                  `json:"commit_ns"`
-	Policies []BenchCorePersistPolicy `json:"wal_append"`
-	Recovery []BenchCoreRecoveryPoint `json:"recovery"`
-}
-
-// BenchCoreInstrumentation is the observability tax measurement: the same
-// AdvancedGreedy solve run with Options.OnRound nil versus wired to the
-// serving layer's instrument set (one histogram observation and three
-// counter adds per round, the exact work internal/service's hook does).
-// The acceptance bar is OverheadPct <= 2.
-type BenchCoreInstrumentation struct {
-	UninstrumentedNsPerRound float64 `json:"uninstrumented_ns_per_round"`
-	InstrumentedNsPerRound   float64 `json:"instrumented_ns_per_round"`
-	// OverheadPct is the instrumented slowdown in percent; small negative
-	// values are measurement noise.
-	OverheadPct float64 `json:"overhead_pct"`
-	// RoundsObserved is how many OnRound callbacks actually fired during
-	// the instrumented timing (sanity: > 0 or the hook never ran).
-	RoundsObserved int64 `json:"rounds_observed"`
-	// BlockersIdentical records that hooked and unhooked solves selected
-	// the same blockers — the observer-purity contract at serving size.
-	BlockersIdentical bool `json:"blockers_identical"`
-	Workers           int  `json:"workers"`
-}
-
-// BenchCoreReport is the BENCH_core.json schema.
-type BenchCoreReport struct {
+// BenchProvenance records what a report measured (graph, θ, budget) and
+// where (requested workers, scheduler parallelism, cores, Go version).
+type BenchProvenance struct {
 	Graph struct {
 		Generator      string  `json:"generator"`
 		N              int     `json:"n"`
@@ -207,39 +101,38 @@ type BenchCoreReport struct {
 	} `json:"graph"`
 	Theta  int `json:"theta"`
 	Budget int `json:"budget"`
-	// Workers is the requested configuration (0 = all cores); every
-	// measurement additionally records the effective count it used.
-	Workers     int           `json:"workers"`
-	PoolBytes   int64         `json:"pool_bytes"`
-	PoolBuildMS float64       `json:"pool_build_ms"`
-	GoMaxProcs  int           `json:"gomaxprocs"`
-	NumCPU      int           `json:"num_cpu"`
-	GoVersion   string        `json:"go_version"`
-	GeneratedBy string        `json:"generated_by"`
-	Fresh       BenchCoreMode `json:"fresh"`
-	Incremental BenchCoreMode `json:"incremental"`
-	// ContentionProfile is the per-shard work breakdown of the headline
-	// incremental measurement; SamplesStolen is its total cross-shard
-	// steal count.
-	ContentionProfile []BenchCoreShard `json:"contention_profile"`
-	SamplesStolen     int64            `json:"samples_stolen"`
-	// IncrementalScaling sweeps the incremental estimator's worker count;
-	// BlockersIdenticalAcrossWorkers records that every sweep point
-	// re-derived the same greedy blocker sequence (the sharded reduction's
-	// determinism guarantee, asserted here on the serving-size instance).
-	IncrementalScaling             []BenchCoreScalingPoint `json:"incremental_scaling"`
-	BlockersIdenticalAcrossWorkers bool                    `json:"blockers_identical_across_workers"`
-	// MutateRepair measures pool repair against full rebuild after mutation
-	// batches of increasing size on the serving graph.
-	MutateRepair []BenchCoreMutatePoint `json:"mutate_repair"`
-	// Persist measures the durable store: WAL append overhead per mutate at
-	// each fsync policy, and recovery time vs WAL length.
-	Persist *BenchCorePersist `json:"persist,omitempty"`
-	// Instrumentation measures the per-round cost of the OnRound
-	// observability hook against the identical unhooked solve.
-	Instrumentation           *BenchCoreInstrumentation `json:"instrumentation,omitempty"`
-	SpeedupIncrementalVsFresh float64                   `json:"speedup_incremental_vs_fresh"`
-	SpeedupIncremental4WVs1W  float64                   `json:"speedup_incremental_4w_vs_1w"`
+	// Workers is the requested configuration (0 = all cores); the metric
+	// effective_workers is what it resolved to.
+	Workers    int    `json:"workers"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+}
+
+// String formats the provenance on one line, for benchcore's table header
+// and the overwrite-guard and hardware-mismatch messages.
+func (p BenchProvenance) String() string {
+	return fmt.Sprintf("graph %s n=%d epv=%g edges=%d seeds=%d, theta=%d budget=%d, workers=%d gomaxprocs=%d num_cpu=%d, %s",
+		p.Graph.Generator, p.Graph.N, p.Graph.EdgesPerVertex, p.Graph.Edges, p.Graph.NumSeeds,
+		p.Theta, p.Budget, p.Workers, p.GoMaxProcs, p.NumCPU, p.GoVersion)
+}
+
+// BenchCoreReport is the BENCH_core.json schema.
+type BenchCoreReport struct {
+	Provenance BenchProvenance `json:"provenance"`
+	Metrics    []BenchMetric   `json:"metrics"`
+}
+
+func (r *BenchCoreReport) add(name string, value float64, unit, class string) {
+	r.Metrics = append(r.Metrics, BenchMetric{Name: name, Value: value, Unit: unit, Class: class})
+}
+
+func (r *BenchCoreReport) addBool(name string, ok bool) {
+	v := 0.0
+	if ok {
+		v = 1
+	}
+	r.add(name, v, "bool", ClassBool)
 }
 
 // sweepWorkers returns the deduplicated ascending worker counts to sweep:
@@ -250,59 +143,25 @@ func sweepWorkers() []int {
 	return slices.Compact(ws)
 }
 
-// workerConfigMatches reports whether an existing report was produced
-// under the same parallelism configuration as the pending one.
-func workerConfigMatches(old, cur *BenchCoreReport) bool {
-	if old.Workers != cur.Workers || old.GoMaxProcs != cur.GoMaxProcs {
-		return false
-	}
-	if len(old.IncrementalScaling) != len(cur.IncrementalScaling) {
-		return false
-	}
-	for i := range old.IncrementalScaling {
-		if old.IncrementalScaling[i].Workers != cur.IncrementalScaling[i].Workers {
-			return false
-		}
-	}
-	return true
-}
-
 // checkOverwrite enforces the provenance guard on an existing JSON
-// baseline. A file that fails to parse (pre-sweep schema, manual edits) is
-// treated as a configuration mismatch: only -force may replace it.
-func checkOverwrite(path string, cur *BenchCoreReport, force bool) error {
-	buf, err := os.ReadFile(path)
+// baseline. A file that does not load as a flat report (an older schema,
+// manual edits) is treated as a mismatch: only -force may replace it.
+func checkOverwrite(path string, cur BenchProvenance, force bool) error {
+	if force {
+		return nil
+	}
+	old, err := LoadBenchCoreReport(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return err
+		return fmt.Errorf("benchcore: %v; pass -force to replace it", err)
 	}
-	if force {
-		return nil
-	}
-	var old BenchCoreReport
-	if err := json.Unmarshal(buf, &old); err != nil {
-		return fmt.Errorf("benchcore: %s exists but does not parse (%v); pass -force to replace it", path, err)
-	}
-	if old.GoMaxProcs > cur.GoMaxProcs {
-		return fmt.Errorf("benchcore: %s was measured at gomaxprocs=%d but this run has only %d — a lower-parallelism regeneration would silently degrade the committed scaling baseline; pass -force to overwrite",
-			path, old.GoMaxProcs, cur.GoMaxProcs)
-	}
-	if !workerConfigMatches(&old, cur) {
-		return fmt.Errorf("benchcore: %s was measured with workers=%d gomaxprocs=%d sweep=%v, this run is workers=%d gomaxprocs=%d sweep=%v; pass -force to overwrite",
-			path, old.Workers, old.GoMaxProcs, scalingWorkers(old.IncrementalScaling),
-			cur.Workers, cur.GoMaxProcs, scalingWorkers(cur.IncrementalScaling))
+	if old.Provenance != cur {
+		return fmt.Errorf("benchcore: %s was measured under %v, this run is %v; pass -force to overwrite",
+			path, old.Provenance, cur)
 	}
 	return nil
-}
-
-func scalingWorkers(pts []BenchCoreScalingPoint) []int {
-	ws := make([]int, len(pts))
-	for i, p := range pts {
-		ws[i] = p.Workers
-	}
-	return ws
 }
 
 // effectiveWorkers resolves a requested worker count the way the
@@ -317,25 +176,33 @@ func effectiveWorkers(workers, theta int) int {
 	return workers
 }
 
-// RunBenchCore builds the benchmark instance, measures the two modes and
-// the incremental worker sweep, and writes the report table to cfg.Out
-// (and JSON to opt.JSONPath, if set).
+// timeRuns calls run until minTime has passed and returns the mean
+// nanoseconds and heap bytes allocated per call, and the call count.
+func timeRuns(minTime time.Duration, run func()) (nsPerRun, bytesPerRun float64, runs int64) {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	for time.Since(start) < minTime {
+		run()
+		runs++
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&ms1)
+	return float64(elapsed.Nanoseconds()) / float64(runs),
+		float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(runs), runs
+}
+
+// RunBenchCore builds the benchmark instance, measures the two modes, the
+// incremental worker sweep, mutation repair, the durable store and the
+// instrumentation hook, and writes the report table to cfg.Out (and JSON
+// to opt.JSONPath, if set).
 func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	cfg = cfg.WithDefaults()
-	if opt.N <= 0 {
-		opt.N = 20_000
-	}
-	if opt.EdgesPerVertex <= 0 {
-		opt.EdgesPerVertex = 5
-	}
-	if opt.Budget <= 0 {
-		opt.Budget = 10
-	}
 	if opt.MinTime <= 0 {
 		opt.MinTime = 2 * time.Second
 	}
 
-	g := datasets.PreferentialAttachment(opt.N, opt.EdgesPerVertex, true, rng.New(1))
+	g := datasets.PreferentialAttachment(benchN, benchEdgesPerVertex, true, rng.New(1))
 	g = graph.Trivalency.Assign(g, rng.New(2))
 	seeds, err := datasets.RandomSeeds(g, cfg.NumSeeds, true, rng.New(3))
 	if err != nil {
@@ -348,38 +215,35 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		isSeed[s] = true
 	}
 
-	rep := &BenchCoreReport{
-		Theta:       cfg.Theta,
-		Budget:      opt.Budget,
-		Workers:     cfg.Workers,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		GoVersion:   runtime.Version(),
-		GeneratedBy: "cmd/experiments -exp benchcore",
-	}
-	rep.Graph.Generator = "preferential-attachment"
-	rep.Graph.N = opt.N
-	rep.Graph.EdgesPerVertex = opt.EdgesPerVertex
-	rep.Graph.Edges = g.M()
-	rep.Graph.NumSeeds = cfg.NumSeeds
-	for _, w := range sweepWorkers() {
-		rep.IncrementalScaling = append(rep.IncrementalScaling,
-			BenchCoreScalingPoint{Workers: w, GoMaxProcs: rep.GoMaxProcs, NumCPU: rep.NumCPU})
-	}
+	rep := &BenchCoreReport{}
+	prov := &rep.Provenance
+	prov.Graph.Generator = "preferential-attachment"
+	prov.Graph.N = benchN
+	prov.Graph.EdgesPerVertex = benchEdgesPerVertex
+	prov.Graph.Edges = g.M()
+	prov.Graph.NumSeeds = cfg.NumSeeds
+	prov.Theta, prov.Budget, prov.Workers = cfg.Theta, benchBudget, cfg.Workers
+	prov.GoMaxProcs, prov.NumCPU, prov.GoVersion = runtime.GOMAXPROCS(0), runtime.NumCPU(), runtime.Version()
 
 	// Fail the provenance check before spending minutes measuring.
 	if opt.JSONPath != "" {
-		if err := checkOverwrite(opt.JSONPath, rep, opt.Force); err != nil {
+		if err := checkOverwrite(opt.JSONPath, rep.Provenance, opt.Force); err != nil {
 			return nil, err
 		}
 	}
 
+	// Every measurement but the sweep points runs at this worker count.
 	mainWorkers := effectiveWorkers(cfg.Workers, cfg.Theta)
+	rep.add("effective_workers", float64(mainWorkers), "workers", ClassInfo)
 
-	t0 := time.Now()
-	pool := core.NewSamplePool(sampler, super, cfg.Theta, cfg.Workers, rng.New(cfg.Seed).Split(^uint64(0)))
-	rep.PoolBuildMS = float64(time.Since(t0)) / float64(time.Millisecond)
-	rep.PoolBytes = pool.MemoryBytes()
+	// One build takes about a millisecond, too short to time alone, so it
+	// is timed like every other cost: repeated for MinTime and averaged.
+	var pool *core.SamplePool
+	buildNs, _, _ := timeRuns(opt.MinTime, func() {
+		pool = core.NewSamplePool(sampler, super, cfg.Theta, cfg.Workers, rng.New(cfg.Seed).Split(^uint64(0)))
+	})
+	rep.add("pool_build_ms", buildNs/1e6, "ms", ClassTiming)
+	rep.add("pool_bytes", float64(pool.MemoryBytes()), "bytes", ClassInfo)
 
 	// One greedy trajectory, recorded over a fresh incremental estimator,
 	// replayed by every mode so the measurement isolates DecreaseES.
@@ -399,8 +263,8 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		}
 		return best
 	}
-	traj := make([]graph.V, 0, opt.Budget)
-	for round := 0; round < opt.Budget; round++ {
+	traj := make([]graph.V, 0, benchBudget)
+	for round := 0; round < benchBudget; round++ {
 		recorder.DecreaseES(delta, blocked)
 		best := pickBest(delta)
 		if best == -1 {
@@ -411,25 +275,11 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	}
 	clear(blocked)
 
-	measure := func(oneRun func()) (nsPerRound, bytesPerRound float64, rounds int64) {
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for time.Since(start) < opt.MinTime {
-			oneRun()
-			rounds += int64(opt.Budget)
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		return float64(elapsed.Nanoseconds()) / float64(rounds),
-			float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(rounds), rounds
-	}
-
 	// Fresh: θ new samples every round.
 	fresh := core.NewEstimator(sampler, cfg.Workers)
 	base := rng.New(cfg.Seed)
 	round := uint64(0)
-	ns, by, _ := measure(func() {
+	freshNs, by, _ := timeRuns(opt.MinTime, func() {
 		for _, v := range traj {
 			fresh.DecreaseES(delta, super, blocked, cfg.Theta, base.Split(round))
 			round++
@@ -437,9 +287,11 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		}
 		clear(blocked)
 	})
-	rep.Fresh = BenchCoreMode{NsPerRound: ns, BytesPerRound: by,
-		SamplesPerSec: float64(cfg.Theta) / ns * 1e9, DirtySamplesPerRound: float64(cfg.Theta),
-		Workers: mainWorkers, NumCPU: rep.NumCPU}
+	freshNs /= benchBudget
+	rep.add("fresh.ns_per_round", freshNs, "ns", ClassTiming)
+	rep.add("fresh.samples_per_sec", float64(cfg.Theta)/freshNs*1e9, "samples/s", ClassInfo)
+	rep.add("fresh.bytes_per_round", by/benchBudget, "bytes", ClassInfo)
+	rep.add("fresh.dirty_samples_per_round", float64(cfg.Theta), "samples", ClassInfo)
 
 	// Incremental: persistent estimator per sweep point, flips reported,
 	// priming included in the first run and amortized like a warm session
@@ -449,31 +301,31 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	// greedy selection re-derives the trajectory at that worker count and
 	// is checked against the recorded trajectory — the
 	// bit-identical-blockers guarantee, exercised at serving size.
-	rep.BlockersIdenticalAcrossWorkers = true
-	measureIncremental := func(workers int) (BenchCoreMode, []core.ShardProfile, int64, error) {
-		incr := core.NewIncrementalPooledEstimatorFromPool(pool, workers)
-		reTraj := make([]graph.V, 0, opt.Budget)
-		flips := make([]graph.V, 0, opt.Budget)
+	blockersIdentical := true
+	measureIncremental := func(workers int) (incr *core.IncrementalPooledEstimator, nsPerRound, bytesPerRound, dirtyPerRound float64, err error) {
+		incr = core.NewIncrementalPooledEstimatorFromPool(pool, workers)
+		reTraj := make([]graph.V, 0, benchBudget)
+		flips := make([]graph.V, 0, benchBudget)
 		for range traj {
 			vals := incr.DecreaseESFlipsView(blocked, flips)
 			flips = flips[:0]
 			best := pickBest(vals)
 			if best == -1 {
-				return BenchCoreMode{}, nil, 0, fmt.Errorf("benchcore: sweep at workers=%d ran out of candidates", workers)
+				return nil, 0, 0, 0, fmt.Errorf("benchcore: sweep at workers=%d ran out of candidates", workers)
 			}
 			blocked[best] = true
 			flips = append(flips, best)
 			reTraj = append(reTraj, best)
 		}
 		if !slices.Equal(reTraj, traj) {
-			rep.BlockersIdenticalAcrossWorkers = false
+			blockersIdentical = false
 		}
 		for _, v := range traj {
 			blocked[v] = false
 			flips = append(flips, v)
 		}
 		st0 := incr.Stats()
-		ns, by, rounds := measure(func() {
+		ns, by, runs := timeRuns(opt.MinTime, func() {
 			for _, v := range traj {
 				incr.DecreaseESFlipsView(blocked, flips)
 				flips = flips[:0]
@@ -485,73 +337,78 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 				flips = append(flips, v)
 			}
 		})
-		st1 := incr.Stats()
-		dirtyPerRound := float64(st1.SamplesReprocessed-st0.SamplesReprocessed) / float64(rounds)
-		mode := BenchCoreMode{NsPerRound: ns, BytesPerRound: by,
-			SamplesPerSec: dirtyPerRound / ns * 1e9, DirtySamplesPerRound: dirtyPerRound,
-			Workers: effectiveWorkers(workers, cfg.Theta), NumCPU: rep.NumCPU}
-		return mode, incr.ShardProfiles(), incr.Stats().SamplesStolen, nil
+		rounds := float64(runs * benchBudget)
+		dirty := float64(incr.Stats().SamplesReprocessed-st0.SamplesReprocessed) / rounds
+		return incr, ns / benchBudget, by / benchBudget, dirty, nil
 	}
 
-	m, profs, stolen, err := measureIncremental(cfg.Workers)
+	incr, incrNs, by, dirty, err := measureIncremental(cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	rep.Incremental = m
-	rep.SamplesStolen = stolen
-	for s, pr := range profs {
-		rep.ContentionProfile = append(rep.ContentionProfile, BenchCoreShard{
-			Shard: s, Lo: pr.Lo, Hi: pr.Hi,
-			Processed: pr.Processed, Stolen: pr.Stolen, Ns: pr.Ns,
-		})
+	rep.add("incremental.ns_per_round", incrNs, "ns", ClassTiming)
+	rep.add("incremental.samples_per_sec", dirty/incrNs*1e9, "samples/s", ClassInfo)
+	rep.add("incremental.bytes_per_round", by, "bytes", ClassInfo)
+	rep.add("incremental.dirty_samples_per_round", dirty, "samples", ClassInfo)
+	// The contention profile: each worker shard's share of the headline
+	// measurement. Balanced processed counts with zero stolen mean the
+	// static θ-range partition alone kept the workers busy.
+	for s, pr := range incr.ShardProfiles() {
+		name := fmt.Sprintf("contention_profile[shard_%d].", s)
+		rep.add(name+"lo", float64(pr.Lo), "index", ClassInfo)
+		rep.add(name+"hi", float64(pr.Hi), "index", ClassInfo)
+		rep.add(name+"processed", float64(pr.Processed), "samples", ClassInfo)
+		rep.add(name+"stolen", float64(pr.Stolen), "samples", ClassInfo)
+		rep.add(name+"ns", float64(pr.Ns), "ns", ClassInfo)
 	}
+	rep.add("samples_stolen", float64(incr.Stats().SamplesStolen), "samples", ClassInfo)
 
-	var oneWorkerNs float64
-	for i := range rep.IncrementalScaling {
-		pt := &rep.IncrementalScaling[i]
-		m := rep.Incremental
-		if pt.Workers != rep.Incremental.Workers {
+	var oneWorkerNs, speedup4W float64
+	for _, w := range sweepWorkers() {
+		ns := incrNs
+		if w != mainWorkers {
 			// The sweep point matching the headline configuration reuses
 			// that measurement instead of paying another priming pass and
 			// MinTime of timed rounds for identical numbers.
-			var err error
-			m, _, _, err = measureIncremental(pt.Workers)
-			if err != nil {
+			if _, ns, _, _, err = measureIncremental(w); err != nil {
 				return nil, err
 			}
 		}
-		pt.NsPerRound = m.NsPerRound
-		if pt.Workers == 1 {
-			oneWorkerNs = m.NsPerRound
+		if w == 1 {
+			oneWorkerNs = ns
 		}
-		if oneWorkerNs > 0 {
-			pt.Speedup = oneWorkerNs / m.NsPerRound
-			pt.Efficiency = pt.Speedup / float64(pt.Workers)
+		speedup := oneWorkerNs / ns
+		if w == 4 {
+			speedup4W = speedup
 		}
-		if pt.Workers == 4 {
-			rep.SpeedupIncremental4WVs1W = pt.Speedup
-		}
+		name := fmt.Sprintf("incremental_scaling[%d_workers].", w)
+		rep.add(name+"ns_per_round", ns, "ns", ClassInfo)
+		rep.add(name+"speedup_vs_workers_1", speedup, "x", ClassInfo)
+		rep.add(name+"scaling_efficiency", speedup/float64(w), "fraction", ClassInfo)
 	}
-
-	rep.SpeedupIncrementalVsFresh = rep.Fresh.NsPerRound / rep.Incremental.NsPerRound
+	rep.addBool("blockers_identical_across_workers", blockersIdentical)
+	rep.add("speedup_incremental_vs_fresh", freshNs/incrNs, "x", ClassRatio)
+	rep.add("speedup_incremental_4w_vs_1w", speedup4W, "x", ClassRatio)
 
 	if opt.ScalingFloor > 0 {
-		if rep.NumCPU >= 4 && rep.GoMaxProcs >= 4 {
-			if rep.SpeedupIncremental4WVs1W < opt.ScalingFloor {
+		if prov.NumCPU >= 4 && prov.GoMaxProcs >= 4 {
+			if speedup4W < opt.ScalingFloor {
 				return nil, fmt.Errorf("benchcore: 4-worker speedup %.2fx is below the %.2fx floor (gomaxprocs=%d, num_cpu=%d)",
-					rep.SpeedupIncremental4WVs1W, opt.ScalingFloor, rep.GoMaxProcs, rep.NumCPU)
+					speedup4W, opt.ScalingFloor, prov.GoMaxProcs, prov.NumCPU)
 			}
-		} else if cfg.Out != nil {
+		} else {
 			fmt.Fprintf(cfg.Out, "scaling floor check skipped: gomaxprocs=%d num_cpu=%d (need 4 of each)\n",
-				rep.GoMaxProcs, rep.NumCPU)
+				prov.GoMaxProcs, prov.NumCPU)
 		}
 	}
 
 	// Mutate-then-solve: per batch size, perturb that many random edges of
 	// the serving instance through the dynamic overlay, then answer one
-	// estimation round via warm-pool repair versus full rebuild. Priming the
-	// warm estimator happens outside the timed section — a session carries
-	// it from before the mutation.
+	// estimation round via warm-pool repair (SamplePool.Repair +
+	// RepairPool + a dirty-only round) versus full rebuild (fresh pool
+	// draw + priming scan). The repair path is what a warm session pays per
+	// mutation batch. Priming the warm estimator happens outside the timed
+	// section — a session carries it from before the mutation.
 	edges := unified.Edges()
 	candidates := make([]int, 0, len(edges))
 	for i, e := range edges {
@@ -582,16 +439,11 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		}
 		snap, _ := dyn.Snapshot()
 		newSampler := cascade.NewIC(snap)
-		poolBase := func() *rng.Source { return rng.New(cfg.Seed).Split(^uint64(0)) }
-
-		pt := BenchCoreMutatePoint{
-			BatchEdges: k, FracOfEdges: float64(k) / float64(g.M()),
-			Workers: mainWorkers, NumCPU: rep.NumCPU,
-		}
 
 		var repairVals, rebuildVals []float64
 		var elapsed time.Duration
 		var iters int64
+		dirtySamples := 0
 		for elapsed < opt.MinTime {
 			warm := core.NewIncrementalPooledEstimatorFromPool(pool, cfg.Workers)
 			warm.DecreaseESView(nil) // priming, untimed: the session did this pre-mutation
@@ -601,83 +453,37 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 			repairVals = append(repairVals[:0], warm.DecreaseESView(nil)...)
 			elapsed += time.Since(t0)
 			iters++
-			pt.DirtySamples = len(dirtyIDs)
+			dirtySamples = len(dirtyIDs)
 		}
-		pt.RepairNs = float64(elapsed.Nanoseconds()) / float64(iters)
+		repairNs := float64(elapsed.Nanoseconds()) / float64(iters)
 
-		elapsed, iters = 0, 0
-		for elapsed < opt.MinTime {
-			t0 := time.Now()
-			rebuilt := core.NewSamplePool(newSampler, super, cfg.Theta, cfg.Workers, poolBase())
+		rebuildNs, _, _ := timeRuns(opt.MinTime, func() {
+			rebuilt := core.NewSamplePool(newSampler, super, cfg.Theta, cfg.Workers, rng.New(cfg.Seed).Split(^uint64(0)))
 			cold := core.NewIncrementalPooledEstimatorFromPool(rebuilt, cfg.Workers)
 			rebuildVals = append(rebuildVals[:0], cold.DecreaseESView(nil)...)
-			elapsed += time.Since(t0)
-			iters++
-		}
-		pt.RebuildNs = float64(elapsed.Nanoseconds()) / float64(iters)
+		})
 
-		pt.Speedup = pt.RebuildNs / pt.RepairNs
-		pt.RepairBitIdentical = slices.Equal(repairVals, rebuildVals)
-		rep.MutateRepair = append(rep.MutateRepair, pt)
+		name := fmt.Sprintf("mutate_repair[%d_edges].", k)
+		rep.add(name+"frac_of_edges", float64(k)/float64(g.M()), "fraction", ClassInfo)
+		rep.add(name+"dirty_samples", float64(dirtySamples), "samples", ClassInfo)
+		rep.add(name+"repair_ns", repairNs, "ns", ClassInfo)
+		rep.add(name+"rebuild_ns", rebuildNs, "ns", ClassInfo)
+		rep.add(name+"speedup_repair_vs_rebuild", rebuildNs/repairNs, "x", ClassInfo)
+		// The repaired estimator's Δ vector must exactly equal the rebuilt
+		// one's: the repair correctness contract at serving size.
+		rep.addBool(name+"repair_bit_identical", slices.Equal(repairVals, rebuildVals))
 	}
 
-	persist, err := measureBenchPersist(g, cfg.Seed, opt.MinTime)
-	if err != nil {
+	if err := measureBenchPersist(rep, g, cfg.Seed, opt.MinTime); err != nil {
 		return nil, fmt.Errorf("benchcore: persist measurements: %v", err)
 	}
-	rep.Persist = persist
-
-	instr, err := measureInstrumentation(g, seeds, cfg, opt)
-	if err != nil {
+	if err := measureInstrumentation(rep, g, seeds, cfg, opt.MinTime); err != nil {
 		return nil, fmt.Errorf("benchcore: instrumentation measurements: %v", err)
 	}
-	rep.Instrumentation = instr
 
-	if cfg.Out != nil {
-		fmt.Fprintf(cfg.Out, "graph: PA n=%d epv=%g (%d edges), %d seeds; θ=%d b=%d workers=%d (effective %d, gomaxprocs %d, num_cpu %d)\n",
-			opt.N, opt.EdgesPerVertex, g.M(), cfg.NumSeeds, cfg.Theta, opt.Budget, cfg.Workers, mainWorkers, rep.GoMaxProcs, rep.NumCPU)
-		fmt.Fprintf(cfg.Out, "pool: %d samples, %.1f MB, built in %.0f ms\n",
-			cfg.Theta, float64(rep.PoolBytes)/(1<<20), rep.PoolBuildMS)
-		fmt.Fprintf(cfg.Out, "%-12s %8s %14s %16s %14s %18s\n", "mode", "workers", "ns/round", "samples/sec", "bytes/round", "dirty samples/rnd")
-		for _, row := range []struct {
-			name string
-			m    BenchCoreMode
-		}{{"fresh", rep.Fresh}, {"incremental", rep.Incremental}} {
-			fmt.Fprintf(cfg.Out, "%-12s %8d %14.0f %16.0f %14.0f %18.1f\n",
-				row.name, row.m.Workers, row.m.NsPerRound, row.m.SamplesPerSec, row.m.BytesPerRound, row.m.DirtySamplesPerRound)
-		}
-		fmt.Fprintf(cfg.Out, "speedup: incremental/fresh %.2fx\n", rep.SpeedupIncrementalVsFresh)
-		fmt.Fprintf(cfg.Out, "incremental worker sweep (blockers identical across counts: %v):\n",
-			rep.BlockersIdenticalAcrossWorkers)
-		for _, pt := range rep.IncrementalScaling {
-			fmt.Fprintf(cfg.Out, "  workers=%-3d %12.0f ns/round  speedup %.2fx  efficiency %.2f\n",
-				pt.Workers, pt.NsPerRound, pt.Speedup, pt.Efficiency)
-		}
-		fmt.Fprintf(cfg.Out, "contention profile (headline incremental, %d stolen total):\n", rep.SamplesStolen)
-		for _, sh := range rep.ContentionProfile {
-			fmt.Fprintf(cfg.Out, "  shard %-3d [%6d,%6d) processed %-10d stolen %-8d %12d ns\n",
-				sh.Shard, sh.Lo, sh.Hi, sh.Processed, sh.Stolen, sh.Ns)
-		}
-		fmt.Fprintf(cfg.Out, "mutate-then-solve (repair vs rebuild, θ=%d):\n", cfg.Theta)
-		for _, pt := range rep.MutateRepair {
-			fmt.Fprintf(cfg.Out, "  batch=%-6d (%.2f%% of edges) dirty=%-5d repair %11.0f ns, rebuild %11.0f ns, speedup %.2fx, bit-identical %v\n",
-				pt.BatchEdges, 100*pt.FracOfEdges, pt.DirtySamples, pt.RepairNs, pt.RebuildNs, pt.Speedup, pt.RepairBitIdentical)
-		}
-		fmt.Fprintf(cfg.Out, "persist: WAL write-through per %d-mutation batch (bare commit %0.f ns):\n",
-			rep.Persist.BatchMutations, rep.Persist.CommitNs)
-		for _, p := range rep.Persist.Policies {
-			fmt.Fprintf(cfg.Out, "  fsync=%-9s %11.0f ns/batch (WAL share %8.0f ns, overhead %5.1f%%)\n",
-				p.Policy, p.CommitAppendNs, p.AppendNs, p.OverheadPct)
-		}
-		fmt.Fprintf(cfg.Out, "persist: recovery time vs WAL length:\n")
-		for _, p := range rep.Persist.Recovery {
-			fmt.Fprintf(cfg.Out, "  wal=%-5d batches (%8d bytes) recover %8.1f ms (replayed %d)\n",
-				p.WALBatches, p.WALBytes, p.RecoverMS, p.ReplayedBatches)
-		}
-		fmt.Fprintf(cfg.Out, "instrumentation (OnRound hook, workers=%d): off %0.f ns/round, on %0.f ns/round, overhead %+.2f%% (rounds observed %d, blockers identical %v)\n",
-			rep.Instrumentation.Workers, rep.Instrumentation.UninstrumentedNsPerRound,
-			rep.Instrumentation.InstrumentedNsPerRound, rep.Instrumentation.OverheadPct,
-			rep.Instrumentation.RoundsObserved, rep.Instrumentation.BlockersIdentical)
+	fmt.Fprintln(cfg.Out, rep.Provenance)
+	for _, m := range rep.Metrics {
+		fmt.Fprintf(cfg.Out, "  %-52s %14.6g %-9s %s\n", m.Name, m.Value, m.Unit, m.Class)
 	}
 
 	if opt.JSONPath != "" {
@@ -705,10 +511,10 @@ const (
 // per fsync policy, the cost of one durable mutate (in-memory commit + WAL
 // append) relative to the bare commit; then recovery time as the WAL tail
 // grows. Everything runs in throwaway temp directories.
-func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*BenchCorePersist, error) {
+func measureBenchPersist(rep *BenchCoreReport, g *graph.Graph, seed uint64, minTime time.Duration) error {
 	edges := g.Edges()
 	if len(edges) == 0 {
-		return nil, fmt.Errorf("serving graph has no edges")
+		return fmt.Errorf("serving graph has no edges")
 	}
 	// A fixed cycle of deterministic set-prob batches, reused by every
 	// measurement so baseline and policies replay identical work.
@@ -723,24 +529,25 @@ func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*B
 		}
 		batches[i] = muts
 	}
-
-	out := &BenchCorePersist{BatchMutations: persistBatchMutations}
+	rep.add("persist.batch_mutations", persistBatchMutations, "mutations", ClassInfo)
 
 	// Baseline: bare in-memory commit latency, the denominator the WAL
 	// overhead is expressed against. Min of interleavable rounds would
 	// change nothing here (the loop is self-contained), so one pass.
+	var commitNs float64
 	{
 		d := dynamic.New(g, dynamic.Config{})
 		var iters int64
 		start := time.Now()
 		for time.Since(start) < minTime && iters < persistMaxBatches {
 			if _, err := d.Commit(batches[iters%cycle]); err != nil {
-				return nil, err
+				return err
 			}
 			iters++
 		}
-		out.CommitNs = float64(time.Since(start).Nanoseconds()) / float64(iters)
+		commitNs = float64(time.Since(start).Nanoseconds()) / float64(iters)
 	}
+	rep.add("persist.commit_ns", commitNs, "ns", ClassInfo)
 
 	// Per policy, the WAL append is measured in isolation — encode, frame,
 	// write, and the policy's fsync behavior — rather than as the
@@ -751,7 +558,7 @@ func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*B
 	for _, policy := range []store.FsyncPolicy{store.FsyncNone, store.FsyncInterval, store.FsyncAlways} {
 		dir, err := os.MkdirTemp("", "imind-bench-persist-*")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		measure := func() (float64, error) {
 			st, err := store.Open(dir, store.Config{Fsync: policy})
@@ -785,14 +592,14 @@ func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*B
 		ns, err := measure()
 		os.RemoveAll(dir)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out.Policies = append(out.Policies, BenchCorePersistPolicy{
-			Policy:         string(policy),
-			CommitAppendNs: out.CommitNs + ns,
-			AppendNs:       ns,
-			OverheadPct:    100 * ns / out.CommitNs,
-		})
+		// overhead_pct is the WAL's share as a percentage of the bare
+		// commit: the "WAL append overhead per mutate" headline number.
+		name := fmt.Sprintf("persist.wal_append[%s].", policy)
+		rep.add(name+"commit_append_ns", commitNs+ns, "ns", ClassInfo)
+		rep.add(name+"append_ns", ns, "ns", ClassInfo)
+		rep.add(name+"overhead_pct", 100*ns/commitNs, "%", ClassInfo)
 	}
 
 	// Recovery time vs WAL length: write k batches under fsync none (the
@@ -800,18 +607,18 @@ func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*B
 	for _, k := range []int{0, 64, 512} {
 		dir, err := os.MkdirTemp("", "imind-bench-recover-*")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st, err := store.Open(dir, store.Config{Fsync: store.FsyncNone})
 		if err != nil {
 			os.RemoveAll(dir)
-			return nil, err
+			return err
 		}
 		gs, err := st.Create("bench", g, 0, "benchcore", "TR")
 		if err != nil {
 			st.Close()
 			os.RemoveAll(dir)
-			return nil, err
+			return err
 		}
 		d := dynamic.New(g, dynamic.Config{})
 		for i := 0; i < k; i++ {
@@ -825,16 +632,16 @@ func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*B
 			if err != nil {
 				st.Close()
 				os.RemoveAll(dir)
-				return nil, err
+				return err
 			}
 		}
 		walBytes := gs.WALSize()
 		if err := st.Close(); err != nil {
 			os.RemoveAll(dir)
-			return nil, err
+			return err
 		}
 
-		pt := BenchCoreRecoveryPoint{WALBatches: k, WALMutations: k * persistBatchMutations, WALBytes: walBytes}
+		replayed := 0
 		var elapsed time.Duration
 		var iters int64
 		for elapsed < minTime/2 && iters < 16 {
@@ -842,38 +649,45 @@ func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*B
 			st2, err := store.Open(dir, store.Config{Fsync: store.FsyncNone})
 			if err != nil {
 				os.RemoveAll(dir)
-				return nil, err
+				return err
 			}
 			recs, err := st2.Recover()
 			if err != nil {
 				st2.Close()
 				os.RemoveAll(dir)
-				return nil, err
+				return err
 			}
 			if len(recs) != 1 {
 				st2.Close()
 				os.RemoveAll(dir)
-				return nil, fmt.Errorf("recovery sanity: %d graphs, want 1", len(recs))
+				return fmt.Errorf("recovery sanity: %d graphs, want 1", len(recs))
 			}
 			if recs[0].Epoch() != uint64(k) {
 				st2.Close()
 				os.RemoveAll(dir)
-				return nil, fmt.Errorf("recovery sanity: epoch %d, want %d", recs[0].Epoch(), k)
+				return fmt.Errorf("recovery sanity: epoch %d, want %d", recs[0].Epoch(), k)
 			}
-			pt.ReplayedBatches = recs[0].ReplayedBatches
+			replayed = recs[0].ReplayedBatches
 			elapsed += time.Since(t0)
 			iters++
 			if err := st2.Close(); err != nil {
 				os.RemoveAll(dir)
-				return nil, err
+				return err
 			}
 		}
-		pt.RecoverMS = float64(elapsed) / float64(time.Millisecond) / float64(iters)
 		os.RemoveAll(dir)
-		out.Recovery = append(out.Recovery, pt)
+		name := fmt.Sprintf("persist.recovery[%d_batches].", k)
+		rep.add(name+"wal_mutations", float64(k*persistBatchMutations), "mutations", ClassInfo)
+		rep.add(name+"wal_bytes", float64(walBytes), "bytes", ClassInfo)
+		rep.add(name+"recover_ms", float64(elapsed)/float64(time.Millisecond)/float64(iters), "ms", ClassInfo)
+		rep.add(name+"replayed_batches", float64(replayed), "batches", ClassInfo)
 	}
-	return out, nil
+	return nil
 }
+
+// instrumentationOverheadBar is the acceptance bar, in percent, on the
+// OnRound hook's per-round cost.
+const instrumentationOverheadBar = 2
 
 // measureInstrumentation times the same warm-pool AdvancedGreedy solve with
 // the OnRound hook absent and present. The hooked variant performs exactly
@@ -882,7 +696,7 @@ func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*B
 // adds, and the flight recorder's SolveCost accumulation — so the measured
 // delta is the real serving-path tax of turning metrics plus cost
 // accounting on, and the committed ≤2% bar covers both.
-func measureInstrumentation(g *graph.Graph, seeds []graph.V, cfg Config, opt BenchCoreOptions) (*BenchCoreInstrumentation, error) {
+func measureInstrumentation(rep *BenchCoreReport, g *graph.Graph, seeds []graph.V, cfg Config, minTime time.Duration) error {
 	reg := obs.NewRegistry()
 	roundSeconds := reg.Histogram("bench_solve_round_seconds", "per-round latency", obs.DefTimeBuckets)
 	rounds := reg.CounterVec("bench_solve_rounds_total", "rounds by phase", "phase")
@@ -910,12 +724,12 @@ func measureInstrumentation(g *graph.Graph, seeds []graph.V, cfg Config, opt Ben
 		var timedRounds int64
 		for elapsed < budget {
 			t0 := time.Now()
-			res, err := core.Solve(g, seeds, opt.Budget, core.AdvancedGreedy, o)
+			res, err := core.Solve(g, seeds, benchBudget, core.AdvancedGreedy, o)
 			if err != nil {
 				return 0, nil, err
 			}
 			elapsed += time.Since(t0)
-			timedRounds += int64(opt.Budget)
+			timedRounds += benchBudget
 			if blockers == nil {
 				blockers = res.Blockers
 			}
@@ -931,30 +745,34 @@ func measureInstrumentation(g *graph.Graph, seeds []graph.V, cfg Config, opt Ben
 	const pairs = 3
 	var offNs, onNs float64
 	var offBlockers, onBlockers []graph.V
-	segment := opt.MinTime / (2 * pairs)
+	segment := minTime / (2 * pairs)
 	for i := 0; i < pairs; i++ {
 		ns, blockers, err := run(nil, segment)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if offNs == 0 || ns < offNs {
 			offNs = ns
 		}
 		offBlockers = blockers
 		if ns, blockers, err = run(hook, segment); err != nil {
-			return nil, err
+			return err
 		}
 		if onNs == 0 || ns < onNs {
 			onNs = ns
 		}
 		onBlockers = blockers
 	}
-	return &BenchCoreInstrumentation{
-		UninstrumentedNsPerRound: offNs,
-		InstrumentedNsPerRound:   onNs,
-		OverheadPct:              100 * (onNs - offNs) / offNs,
-		RoundsObserved:           observed,
-		BlockersIdentical:        slices.Equal(offBlockers, onBlockers),
-		Workers:                  effectiveWorkers(cfg.Workers, cfg.Theta),
-	}, nil
+	rep.add("instrumentation.uninstrumented_ns_per_round", offNs, "ns", ClassInfo)
+	rep.add("instrumentation.instrumented_ns_per_round", onNs, "ns", ClassInfo)
+	// Small negative overheads are measurement noise.
+	rep.Metrics = append(rep.Metrics, BenchMetric{Name: "instrumentation.overhead_pct",
+		Value: 100 * (onNs - offNs) / offNs, Unit: "%", Class: ClassBar, Limit: instrumentationOverheadBar})
+	// rounds_observed is how many OnRound callbacks fired during the
+	// timing (> 0, or the hook never ran).
+	rep.add("instrumentation.rounds_observed", float64(observed), "rounds", ClassInfo)
+	// Hooked and unhooked solves must select the same blockers: the
+	// observer-purity contract at serving size.
+	rep.addBool("instrumentation.blockers_identical", slices.Equal(offBlockers, onBlockers))
+	return nil
 }

@@ -1,21 +1,15 @@
-// benchdiff.go compares a fresh benchcore report against the committed
+// benchdiff.go compares a candidate benchcore report against the committed
 // BENCH_core.json baseline and turns the delta into a pass/fail verdict —
-// the perf-trajectory regression gate. Metrics fall into four classes:
+// the perf-trajectory regression gate. It names no metric: each metric's
+// class, carried in its record, decides how it gates (see ClassTiming …
+// ClassInfo). The baseline's record decides for a name the baseline has,
+// so a candidate cannot ungate a metric by reclassifying it; the
+// candidate's record decides for a name only the candidate has.
 //
-//   - timing:  absolute ns/round and build-time numbers. Only comparable
-//     when the baseline was measured on matching hardware provenance
-//     (GOMAXPROCS, NumCPU, requested workers); otherwise reported but
-//     ungated.
-//   - ratio:   dimensionless speedups. Hardware mostly cancels out of a
-//     ratio, so these gate on every run — they are the trajectory the
-//     paper's claims rest on (the incremental estimator beats fresh
-//     sampling, workers scale).
-//   - bar:     absolute acceptance bars (instrumentation overhead ≤ 2%).
-//   - bool:    determinism contracts that must simply hold (bit-identical
-//     blockers across workers, bit-identical pool repair).
-//
-// Every skipped or ungated metric is logged — a gate that silently narrows
-// its own coverage reads as "all green" when it is not.
+// Coverage never narrows silently. A non-info metric of the baseline that
+// the candidate lacks is a regression, and so is a timing or ratio that is
+// not a positive number or a class benchdiff does not know. Every ungated
+// comparison is printed as such.
 package harness
 
 import (
@@ -27,31 +21,31 @@ import (
 	"time"
 )
 
-// BenchDiffOptions parameterizes the comparison.
-type BenchDiffOptions struct {
-	// TimingTolerancePct is the allowed worsening of absolute timing
-	// metrics before they count as regressions (default 10). Benchcore
-	// numbers on shared runners are noisy; the tolerance is the noise
-	// floor, not a license.
-	TimingTolerancePct float64
-	// RatioTolerancePct is the allowed worsening of dimensionless ratio
-	// metrics (default 10).
-	RatioTolerancePct float64
-	// Out receives the human-readable comparison table (default discard).
-	Out io.Writer
-}
+// The allowed worsening, in percent, of a timing and of a ratio: the noise
+// floor of benchcore numbers on shared runners, not a license.
+const (
+	timingTolerancePct = 10
+	ratioTolerancePct  = 10
+)
+
+// barTolerance is added to every bar's limit, in the bar's unit. Today's
+// only bar is a percentage computed from two noisy timings, so it gets
+// the timing tolerance on top: the gate catches a real cost, not a noisy
+// arm.
+const barTolerance = timingTolerancePct
 
 // BenchDiffMetric is one compared metric.
 type BenchDiffMetric struct {
 	Name  string  `json:"name"`
-	Class string  `json:"class"` // timing | ratio | bar | bool
+	Class string  `json:"class"`
 	Base  float64 `json:"base"`
 	Cur   float64 `json:"cur"`
-	// DeltaPct is the signed change in percent, oriented so positive is
-	// worse (slower, smaller speedup, bigger ratio).
+	// DeltaPct is the signed change of a timing or ratio in percent,
+	// oriented so positive is worse (slower, smaller speedup).
 	DeltaPct float64 `json:"delta_pct"`
 	// Gated reports whether this metric participated in the verdict;
-	// Regressed whether it exceeded its tolerance or broke its bar.
+	// Regressed whether it exceeded its tolerance, broke its bar or
+	// contract, or is missing from the candidate.
 	Gated     bool `json:"gated"`
 	Regressed bool `json:"regressed"`
 }
@@ -60,21 +54,25 @@ type BenchDiffMetric struct {
 type BenchDiffResult struct {
 	// HardwareMatch reports whether the baseline's provenance
 	// (GOMAXPROCS, NumCPU, requested workers) matches the candidate's.
-	// Without it, absolute timings are reported but not gated.
+	// Without it, timings are reported but not gated.
 	HardwareMatch bool              `json:"hardware_match"`
 	Metrics       []BenchDiffMetric `json:"metrics"`
 	// Regressions is the human-readable gate failures; empty means pass.
 	Regressions []string `json:"regressions"`
 }
 
-// LoadBenchCoreReport reads a benchcore JSON report from disk.
+// LoadBenchCoreReport reads a benchcore JSON report from disk. A field the
+// flat schema does not have (an older report) is an error.
 func LoadBenchCoreReport(path string) (*BenchCoreReport, error) {
-	buf, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
 	var rep BenchCoreReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
+	if err := dec.Decode(&rep); err != nil {
 		return nil, fmt.Errorf("parsing %s: %v", path, err)
 	}
 	return &rep, nil
@@ -83,7 +81,7 @@ func LoadBenchCoreReport(path string) (*BenchCoreReport, error) {
 // workloadMatches reports whether two reports measured the same workload.
 // Comparing different workloads is meaningless, so a mismatch is an error,
 // not an ungated metric.
-func workloadMatches(base, cand *BenchCoreReport) error {
+func workloadMatches(base, cand BenchProvenance) error {
 	if base.Graph != cand.Graph {
 		return fmt.Errorf("graph mismatch: baseline %+v vs candidate %+v", base.Graph, cand.Graph)
 	}
@@ -98,172 +96,140 @@ func workloadMatches(base, cand *BenchCoreReport) error {
 
 // hardwareMatches reports whether the baseline's timing numbers were
 // measured under the candidate's parallelism provenance.
-func hardwareMatches(base, cand *BenchCoreReport) bool {
+func hardwareMatches(base, cand BenchProvenance) bool {
 	return base.GoMaxProcs == cand.GoMaxProcs &&
 		base.NumCPU == cand.NumCPU &&
 		base.Workers == cand.Workers
 }
 
-// RunBenchDiff compares a candidate benchcore report against a baseline and
-// returns the per-metric deltas plus the list of gate failures. It returns
-// an error only when the two reports are incomparable (different workload);
+// RunBenchDiff compares a candidate benchcore report against a baseline,
+// prints one row per metric to out (nil discards), and returns the
+// per-metric deltas plus the list of gate failures. It returns an error
+// only when the two reports are incomparable (different workload);
 // regressions are reported in the result, not as errors.
-func RunBenchDiff(base, cand *BenchCoreReport, opt BenchDiffOptions) (*BenchDiffResult, error) {
-	if opt.TimingTolerancePct <= 0 {
-		opt.TimingTolerancePct = 10
+func RunBenchDiff(base, cand *BenchCoreReport, out io.Writer) (*BenchDiffResult, error) {
+	if out == nil {
+		out = io.Discard
 	}
-	if opt.RatioTolerancePct <= 0 {
-		opt.RatioTolerancePct = 10
-	}
-	if opt.Out == nil {
-		opt.Out = io.Discard
-	}
-	if err := workloadMatches(base, cand); err != nil {
+	if err := workloadMatches(base.Provenance, cand.Provenance); err != nil {
 		return nil, fmt.Errorf("benchdiff: baselines incomparable: %v", err)
 	}
-
-	res := &BenchDiffResult{HardwareMatch: hardwareMatches(base, cand)}
+	res := &BenchDiffResult{HardwareMatch: hardwareMatches(base.Provenance, cand.Provenance)}
 	if !res.HardwareMatch {
-		fmt.Fprintf(opt.Out, "hardware provenance differs (baseline %d/%d cpu, workers=%d; candidate %d/%d cpu, workers=%d): absolute timings reported but NOT gated, ratios still gate\n",
-			base.GoMaxProcs, base.NumCPU, base.Workers,
-			cand.GoMaxProcs, cand.NumCPU, cand.Workers)
+		fmt.Fprintf(out, "hardware provenance differs (baseline %v; candidate %v): timings reported but NOT gated, every other class still gates\n",
+			base.Provenance, cand.Provenance)
 	}
 
-	// worse converts a raw delta into "positive = worse" percent.
-	add := func(name, class string, baseV, curV, worsePct, tolPct float64, gated bool) {
-		m := BenchDiffMetric{Name: name, Class: class, Base: baseV, Cur: curV, DeltaPct: worsePct, Gated: gated}
-		if gated && worsePct > tolPct {
-			m.Regressed = true
-			res.Regressions = append(res.Regressions,
-				fmt.Sprintf("%s: %.4g -> %.4g (%+.1f%%, tolerance %.0f%%)", name, baseV, curV, worsePct, tolPct))
-		}
-		res.Metrics = append(res.Metrics, m)
-		flag := ""
-		if m.Regressed {
-			flag = "  << REGRESSION"
-		} else if !gated {
-			flag = "  (ungated)"
-		}
-		fmt.Fprintf(opt.Out, "%-36s %12.4g -> %12.4g  %+7.1f%%%s\n", name, baseV, curV, worsePct, flag)
+	inBase := make(map[string]BenchMetric, len(base.Metrics))
+	for _, b := range base.Metrics {
+		inBase[b.Name] = b
 	}
-
-	// higherWorse / lowerWorse skip metrics the baseline never measured
-	// (zero value) — and say so, no silent narrowing.
-	higherWorse := func(name, class string, baseV, curV, tol float64, gated bool) {
-		if baseV == 0 {
-			fmt.Fprintf(opt.Out, "%-36s skipped: baseline has no measurement\n", name)
-			return
-		}
-		add(name, class, baseV, curV, 100*(curV-baseV)/baseV, tol, gated)
+	inCand := make(map[string]bool, len(cand.Metrics))
+	for _, c := range cand.Metrics {
+		inCand[c.Name] = true
+		b, ok := inBase[c.Name]
+		res.compare(out, b, ok, c)
 	}
-	lowerWorse := func(name, class string, baseV, curV, tol float64, gated bool) {
-		if baseV == 0 {
-			fmt.Fprintf(opt.Out, "%-36s skipped: baseline has no measurement\n", name)
-			return
+	for _, b := range base.Metrics {
+		if !inCand[b.Name] && b.Class != ClassInfo {
+			res.record(out, BenchDiffMetric{Name: b.Name, Class: b.Class, Base: b.Value, Gated: true},
+				"missing from the candidate")
 		}
-		add(name, class, baseV, curV, 100*(baseV-curV)/baseV, tol, gated)
 	}
-
-	tt, rt := opt.TimingTolerancePct, opt.RatioTolerancePct
-	hw := res.HardwareMatch
-
-	// Absolute timings: gated only on matching hardware provenance.
-	higherWorse("fresh.ns_per_round", "timing", base.Fresh.NsPerRound, cand.Fresh.NsPerRound, tt, hw)
-	higherWorse("incremental.ns_per_round", "timing", base.Incremental.NsPerRound, cand.Incremental.NsPerRound, tt, hw)
-	higherWorse("pool_build_ms", "timing", base.PoolBuildMS, cand.PoolBuildMS, tt, hw)
-
-	// Dimensionless ratios: always gated.
-	lowerWorse("speedup_incremental_vs_fresh", "ratio", base.SpeedupIncrementalVsFresh, cand.SpeedupIncrementalVsFresh, rt, true)
-	lowerWorse("speedup_incremental_4w_vs_1w", "ratio", base.SpeedupIncremental4WVs1W, cand.SpeedupIncremental4WVs1W, rt, true)
-
-	// Absolute bars and determinism contracts on the candidate.
-	if cand.Instrumentation != nil {
-		// The acceptance bar on the hook's true cost is 2%, but the
-		// measurement is a ratio of two noisy timings, so the gate allows
-		// the timing tolerance on top — it catches a hook that grew real
-		// per-round work (a lock, an allocation), not a noisy arm.
-		const overheadBar = 2.0
-		gateAt := overheadBar + tt
-		m := BenchDiffMetric{
-			Name: "instrumentation.overhead_pct", Class: "bar",
-			Cur: cand.Instrumentation.OverheadPct, Gated: true,
-		}
-		if base.Instrumentation != nil {
-			m.Base = base.Instrumentation.OverheadPct
-		}
-		if cand.Instrumentation.OverheadPct > gateAt {
-			m.Regressed = true
-			res.Regressions = append(res.Regressions,
-				fmt.Sprintf("instrumentation.overhead_pct: %.2f%% exceeds the %.0f%% bar (+%.0f%% timing tolerance)",
-					cand.Instrumentation.OverheadPct, overheadBar, tt))
-		}
-		res.Metrics = append(res.Metrics, m)
-		fmt.Fprintf(opt.Out, "%-36s %12.4g -> %12.4g  (bar ≤ %.0f%% + %.0f%% tolerance)\n", m.Name, m.Base, m.Cur, overheadBar, tt)
-		boolGate(res, opt.Out, "instrumentation.blockers_identical", cand.Instrumentation.BlockersIdentical)
-	} else {
-		fmt.Fprintf(opt.Out, "%-36s skipped: candidate has no measurement\n", "instrumentation.overhead_pct")
-	}
-	boolGate(res, opt.Out, "blockers_identical_across_workers", cand.BlockersIdenticalAcrossWorkers)
-	for _, mp := range cand.MutateRepair {
-		boolGate(res, opt.Out, fmt.Sprintf("mutate_repair[%d_edges].repair_bit_identical", mp.BatchEdges), mp.RepairBitIdentical)
-	}
-
 	return res, nil
 }
 
-// boolGate records one must-hold determinism contract.
-func boolGate(res *BenchDiffResult, out io.Writer, name string, ok bool) {
-	m := BenchDiffMetric{Name: name, Class: "bool", Base: 1, Cur: b2f(ok), Gated: true, Regressed: !ok}
-	if !ok {
-		res.Regressions = append(res.Regressions, fmt.Sprintf("%s: false", name))
+// compare gates one candidate metric c against its baseline record b
+// (hasBase false: the baseline lacks the name).
+func (res *BenchDiffResult) compare(out io.Writer, b BenchMetric, hasBase bool, c BenchMetric) {
+	rule, from := c, "-"
+	if hasBase {
+		rule, from = b, fmt.Sprintf("%.4g", b.Value)
+	}
+	m := BenchDiffMetric{Name: c.Name, Class: rule.Class, Base: b.Value, Cur: c.Value}
+	var fail, note string
+	switch rule.Class {
+	case ClassTiming, ClassRatio:
+		switch {
+		case !(c.Value > 0) || math.IsInf(c.Value, 0):
+			m.Gated, fail = true, "not a positive measurement"
+		case !hasBase || !(b.Value > 0):
+			note = "ungated: no baseline measurement"
+		default:
+			m.Gated = true
+			tol := ratioTolerancePct
+			m.DeltaPct = 100 * (b.Value - c.Value) / b.Value // a smaller ratio is worse
+			if rule.Class == ClassTiming {
+				m.Gated = res.HardwareMatch
+				tol = timingTolerancePct
+				m.DeltaPct = 100 * (c.Value - b.Value) / b.Value // a larger timing is worse
+			}
+			note = fmt.Sprintf("%+.1f%%", m.DeltaPct)
+			if !m.Gated {
+				note += " (ungated: hardware differs)"
+			} else if m.DeltaPct > float64(tol) {
+				fail = fmt.Sprintf("%+.1f%%, tolerance %d%%", m.DeltaPct, tol)
+			}
+		}
+	case ClassBar:
+		m.Gated = true
+		note = fmt.Sprintf("bar ≤ %g + %d", rule.Limit, barTolerance)
+		if !(c.Value <= rule.Limit+barTolerance) {
+			fail = "exceeds the " + note
+		}
+	case ClassBool:
+		m.Gated, note = true, "must be true"
+		if c.Value != 1 {
+			fail = "false"
+		}
+	case ClassInfo: // reported, never gated
+	default:
+		m.Gated, fail = true, fmt.Sprintf("unknown class %q", rule.Class)
+	}
+	if fail != "" {
+		res.record(out, m, fmt.Sprintf("%s -> %.4g: %s", from, m.Cur, fail))
+		return
 	}
 	res.Metrics = append(res.Metrics, m)
-	fmt.Fprintf(out, "%-36s %v\n", name, ok)
+	fmt.Fprintf(out, "%-48s %-6s %12s -> %12.4g  %s\n", m.Name, m.Class, from, m.Cur, note)
 }
 
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+// record adds a regressed metric with the reason it failed.
+func (res *BenchDiffResult) record(out io.Writer, m BenchDiffMetric, why string) {
+	m.Regressed = true
+	res.Metrics = append(res.Metrics, m)
+	msg := fmt.Sprintf("%s (%s): %s", m.Name, m.Class, why)
+	res.Regressions = append(res.Regressions, msg)
+	fmt.Fprintf(out, "%s  << REGRESSION\n", msg)
 }
 
 // BenchHistoryEntry is one JSONL row of BENCH_history.jsonl — the
 // perf-trajectory ledger every benchdiff run appends to, so the numbers'
 // drift over time stays reviewable in-repo.
 type BenchHistoryEntry struct {
-	Time          string   `json:"time"`
-	GoVersion     string   `json:"go_version"`
-	GoMaxProcs    int      `json:"gomaxprocs"`
-	NumCPU        int      `json:"num_cpu"`
-	Workers       int      `json:"workers"`
-	HardwareMatch bool     `json:"hardware_match"`
-	Regressions   []string `json:"regressions,omitempty"`
-
-	FreshNsPerRound            float64 `json:"fresh_ns_per_round"`
-	IncrementalNsPerRound      float64 `json:"incremental_ns_per_round"`
-	SpeedupIncrementalVsFresh  float64 `json:"speedup_incremental_vs_fresh"`
-	InstrumentationOverheadPct float64 `json:"instrumentation_overhead_pct,omitempty"`
+	Time          string          `json:"time"`
+	Provenance    BenchProvenance `json:"provenance"`
+	HardwareMatch bool            `json:"hardware_match"`
+	Regressions   []string        `json:"regressions,omitempty"`
+	// Metrics holds the candidate's value of every metric that is not
+	// info, by name.
+	Metrics map[string]float64 `json:"metrics"`
 }
 
-// AppendBenchHistory appends one candidate's headline numbers plus the gate
+// AppendBenchHistory appends one candidate's gated numbers plus the gate
 // verdict to the JSONL history file, creating it if absent.
 func AppendBenchHistory(path string, cand *BenchCoreReport, res *BenchDiffResult) error {
 	e := BenchHistoryEntry{
 		Time:          time.Now().UTC().Format(time.RFC3339),
-		GoVersion:     cand.GoVersion,
-		GoMaxProcs:    cand.GoMaxProcs,
-		NumCPU:        cand.NumCPU,
-		Workers:       cand.Workers,
+		Provenance:    cand.Provenance,
 		HardwareMatch: res.HardwareMatch,
 		Regressions:   res.Regressions,
-
-		FreshNsPerRound:           round4(cand.Fresh.NsPerRound),
-		IncrementalNsPerRound:     round4(cand.Incremental.NsPerRound),
-		SpeedupIncrementalVsFresh: round4(cand.SpeedupIncrementalVsFresh),
+		Metrics:       map[string]float64{},
 	}
-	if cand.Instrumentation != nil {
-		e.InstrumentationOverheadPct = round4(cand.Instrumentation.OverheadPct)
+	for _, m := range cand.Metrics {
+		if m.Class != ClassInfo {
+			e.Metrics[m.Name] = round4(m.Value)
+		}
 	}
 	line, err := json.Marshal(e)
 	if err != nil {
