@@ -111,6 +111,61 @@ func TestBenchDiffIdenticalPasses(t *testing.T) {
 	}
 }
 
+// TestBenchDiffCatchesTimingRegression: on matching hardware a +15% timing
+// fails the gate, and the one regression names the metric.
+func TestBenchDiffCatchesTimingRegression(t *testing.T) {
+	base := sampleReport()
+	cand := clone(t, base)
+	setMetric(t, cand, "incremental.ns_per_round", 4e5*1.15)
+	res, err := RunBenchDiff(base, cand, nil)
+	if err != nil {
+		t.Fatalf("RunBenchDiff: %v", err)
+	}
+	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "incremental.ns_per_round") {
+		t.Fatalf("regressions = %v, want one incremental.ns_per_round entry", res.Regressions)
+	}
+}
+
+// TestBenchDiffDeterminismContracts: a determinism contract that reads false
+// fails the gate, and the instrumentation overhead bar sits at its 2% limit
+// plus the timing tolerance (the measurement is a ratio of two noisy
+// timings): 11% passes, 13% fails.
+func TestBenchDiffDeterminismContracts(t *testing.T) {
+	base := sampleReport()
+	base.Metrics = append(base.Metrics, BenchMetric{
+		Name: "mutate_repair[998_edges].repair_bit_identical", Value: 1, Unit: "bool", Class: ClassBool,
+	})
+
+	for _, name := range []string{"blockers_identical_across_workers", "mutate_repair[998_edges].repair_bit_identical"} {
+		cand := clone(t, base)
+		setMetric(t, cand, name, 0)
+		res, err := RunBenchDiff(base, cand, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], name) {
+			t.Fatalf("regressions = %v, want one %s entry", res.Regressions, name)
+		}
+	}
+
+	cand := clone(t, base)
+	setMetric(t, cand, "instrumentation.overhead_pct", 11)
+	res, err := RunBenchDiff(base, cand, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Regressions) != 0 {
+		t.Fatalf("overhead inside the noise allowance regressed: %v", res.Regressions)
+	}
+	setMetric(t, cand, "instrumentation.overhead_pct", 13)
+	if res, err = RunBenchDiff(base, cand, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "instrumentation.overhead_pct") {
+		t.Fatalf("regressions = %v", res.Regressions)
+	}
+}
+
 // TestBenchDiffGatesByClass runs every class through pass, regress and
 // missing, once on a name from today's report and once on a name no report
 // has carried: the class alone decides the verdict.

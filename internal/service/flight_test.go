@@ -216,11 +216,17 @@ func TestCostBitNeutralThroughService(t *testing.T) {
 	registerTestGraphs(t, plain)
 	base := solveOnce(t, plain.URL)
 
-	_, armed := newTestServer(t, Config{
+	srv, armed := newTestServer(t, Config{
 		SLOSolve:     time.Nanosecond,
 		DiagDir:      t.TempDir(),
 		DiagCooldown: -1,
 		TraceRing:    8,
+	})
+	// The breach's bundle capture runs in the background. Wait out the
+	// handlers, then the capture, before the diag dir is removed.
+	t.Cleanup(func() {
+		armed.Close()
+		srv.Close()
 	})
 	registerTestGraphs(t, armed)
 	got := solveOnce(t, armed.URL)
