@@ -235,9 +235,10 @@ func BenchmarkAblation_MCSParallelism(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(map[int]string{1: "workers-1", 4: "workers-4", 16: "workers-16"}[workers], func(b *testing.B) {
 			base := rng.New(5)
+			var scratch cascade.Workspaces
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cascade.EstimateSpreadParallel(ic, src, nil, 20000, workers, base)
+				cascade.EstimateSpreadParallel(ic, src, nil, 20000, workers, base, &scratch)
 			}
 		})
 	}

@@ -208,8 +208,8 @@ func TestSimulateCountDistribution(t *testing.T) {
 func TestEstimateSpreadParallelMatchesSequential(t *testing.T) {
 	g := fixture.Toy()
 	ic := NewIC(g)
-	seq := EstimateSpreadParallel(ic, fixture.Seed, nil, 50000, 1, rng.New(9))
-	par := EstimateSpreadParallel(ic, fixture.Seed, nil, 50000, 8, rng.New(9))
+	seq := EstimateSpreadParallel(ic, fixture.Seed, nil, 50000, 1, rng.New(9), nil)
+	par := EstimateSpreadParallel(ic, fixture.Seed, nil, 50000, 8, rng.New(9), nil)
 	if math.Abs(seq-fixture.ExpectedSpread) > 0.05 {
 		t.Errorf("sequential estimate off: %v", seq)
 	}
@@ -217,9 +217,41 @@ func TestEstimateSpreadParallelMatchesSequential(t *testing.T) {
 		t.Errorf("parallel estimate off: %v", par)
 	}
 	// Determinism for fixed seed/workers.
-	par2 := EstimateSpreadParallel(ic, fixture.Seed, nil, 50000, 8, rng.New(9))
+	par2 := EstimateSpreadParallel(ic, fixture.Seed, nil, 50000, 8, rng.New(9), nil)
 	if par != par2 {
 		t.Error("parallel estimate is not deterministic for fixed seed")
+	}
+}
+
+// TestEstimateSpreadParallelReusesScratch checks that kept Workspaces
+// change no estimate. Calls that reuse them equal calls that allocate their
+// own: across sampler types (LT needs arrays IC's workspaces lack), on a
+// larger graph (which outgrows them) and on a smaller one (which they
+// serve as they are, without a new allocation).
+func TestEstimateSpreadParallelReusesScratch(t *testing.T) {
+	toy := fixture.Toy()
+	b := graph.NewBuilder(3 * toy.N())
+	for u := graph.V(0); int(u) < toy.N(); u++ {
+		for i, v := range toy.OutNeighbors(u) {
+			b.AddEdge(u, v, toy.OutProbs(u)[i])
+		}
+	}
+	b.AddEdge(fixture.Seed, graph.V(3*toy.N()-1), 0.5)
+	big := b.Build()
+	var scratch Workspaces
+	for _, workers := range []int{1, 3} {
+		for _, s := range []LiveSampler{NewIC(toy), NewIC(big), NewLT(toy), NewIC(big), NewIC(toy)} {
+			want := EstimateSpreadParallel(s, fixture.Seed, nil, 3000, workers, rng.New(11), nil)
+			if got := EstimateSpreadParallel(s, fixture.Seed, nil, 3000, workers, rng.New(11), &scratch); got != want {
+				t.Fatalf("workers %d, %T over %d vertices: %v with kept workspaces, %v without",
+					workers, s, s.Graph().N(), got, want)
+			}
+		}
+	}
+	kept := slices.Clone(scratch.ws)
+	EstimateSpreadParallel(NewIC(toy), fixture.Seed, nil, 3000, 3, rng.New(12), &scratch)
+	if !slices.Equal(scratch.ws, kept) {
+		t.Fatal("a smaller graph of the same sampler type replaced the kept workspaces")
 	}
 }
 

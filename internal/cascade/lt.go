@@ -47,7 +47,7 @@ func (lt *LT) choice(v graph.V, r *rng.Source, ws *Workspace) graph.V {
 	}
 	ws.ltStamp[v] = ws.epoch
 	chosen := graph.V(-1)
-	x := r.Float64()
+	x := float64(r.Uint64()>>11) / (1 << 53) // r.Float64(), inlined
 	acc := 0.0
 	in := lt.g.InNeighbors(v)
 	ps := lt.g.InProbs(v)

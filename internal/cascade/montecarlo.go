@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 
@@ -21,19 +22,56 @@ func EstimateSpread(s LiveSampler, src graph.V, blocked []bool, rounds int, r *r
 	if rounds <= 0 {
 		panic("cascade: EstimateSpread with non-positive rounds")
 	}
-	ws := s.NewWorkspace()
-	total := 0
+	return float64(simulate(s, src, blocked, rounds, r, s.NewWorkspace())) / float64(rounds)
+}
+
+// simulate sums the activation counts of rounds forward simulations.
+func simulate(s LiveSampler, src graph.V, blocked []bool, rounds int, r *rng.Source, ws *Workspace) int64 {
+	var total int64
 	for i := 0; i < rounds; i++ {
-		total += s.SimulateCount(src, blocked, r, ws)
+		total += int64(s.SimulateCount(src, blocked, r, ws))
 	}
-	return float64(total) / float64(rounds)
+	return total
+}
+
+// Workspaces keeps EstimateSpreadParallel's per-worker Workspaces across
+// calls, so repeated estimates allocate their n-sized scratch once. A
+// Workspace made by one sampler type serves every sampler of that type
+// whose graph has at most as many vertices; a call with another type starts
+// the set over, and a larger graph replaces the workspaces it outgrows. The
+// zero value is ready to use. It must not be shared by concurrent calls.
+type Workspaces struct {
+	kind reflect.Type // the sampler type that made ws
+	ws   []*Workspace
+}
+
+// get returns worker w's Workspace for s, allocating it when there is none
+// that fits. A nil receiver keeps nothing and allocates every time.
+func (c *Workspaces) get(s LiveSampler, w int) *Workspace {
+	if c == nil {
+		return s.NewWorkspace()
+	}
+	if kind := reflect.TypeOf(s); kind != c.kind {
+		c.kind, c.ws = kind, nil
+	}
+	for len(c.ws) <= w {
+		c.ws = append(c.ws, nil)
+	}
+	if c.ws[w] == nil || c.ws[w].n < s.Graph().N() {
+		c.ws[w] = s.NewWorkspace()
+	}
+	return c.ws[w]
 }
 
 // EstimateSpreadParallel is EstimateSpread fanned out over workers
 // goroutines, each with an independent random stream split from base.
 // workers <= 0 selects GOMAXPROCS. The result is deterministic for a fixed
-// (base seed, workers) pair.
-func EstimateSpreadParallel(s LiveSampler, src graph.V, blocked []bool, rounds, workers int, base *rng.Source) float64 {
+// (base seed, workers) pair. Worker w samples in scratch's w-th Workspace;
+// a nil scratch allocates fresh ones for this call.
+func EstimateSpreadParallel(s LiveSampler, src graph.V, blocked []bool, rounds, workers int, base *rng.Source, scratch *Workspaces) float64 {
+	if rounds <= 0 {
+		panic("cascade: EstimateSpreadParallel with non-positive rounds")
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -41,7 +79,7 @@ func EstimateSpreadParallel(s LiveSampler, src graph.V, blocked []bool, rounds, 
 		workers = rounds
 	}
 	if workers <= 1 {
-		return EstimateSpread(s, src, blocked, rounds, base.Split(0))
+		return float64(simulate(s, src, blocked, rounds, base.Split(0), scratch.get(s, 0))) / float64(rounds)
 	}
 	totals := make([]int64, workers)
 	var wg sync.WaitGroup
@@ -50,17 +88,12 @@ func EstimateSpreadParallel(s LiveSampler, src graph.V, blocked []bool, rounds, 
 		if w < rounds%workers {
 			share++
 		}
-		r := base.Split(uint64(w))
+		r, ws := base.Split(uint64(w)), scratch.get(s, w)
 		wg.Add(1)
-		go func(w, share int, r *rng.Source) {
+		go func(w, share int, r *rng.Source, ws *Workspace) {
 			defer wg.Done()
-			ws := s.NewWorkspace()
-			var total int64
-			for i := 0; i < share; i++ {
-				total += int64(s.SimulateCount(src, blocked, r, ws))
-			}
-			totals[w] = total
-		}(w, share, r)
+			totals[w] = simulate(s, src, blocked, share, r, ws)
+		}(w, share, r, ws)
 	}
 	wg.Wait()
 	var total int64
@@ -82,5 +115,5 @@ type SpreadEstimator struct {
 // Each call derives a fresh child stream from base, so repeated evaluations
 // are independent yet reproducible.
 func (e *SpreadEstimator) Spread(src graph.V, blocked []bool, base *rng.Source, call uint64) float64 {
-	return EstimateSpreadParallel(e.Sampler, src, blocked, e.Rounds, e.Workers, base.Split(call))
+	return EstimateSpreadParallel(e.Sampler, src, blocked, e.Rounds, e.Workers, base.Split(call), nil)
 }

@@ -24,6 +24,8 @@
 package cascade
 
 import (
+	"slices"
+
 	"github.com/imin-dev/imin/internal/dominator"
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
@@ -60,7 +62,7 @@ type LiveSampler interface {
 // the underlying graph's vertex count once and reused across samples through
 // epoch stamping, so steady-state sampling does no allocation.
 type Workspace struct {
-	n     int
+	n     int // the vertex count the arrays below are sized for
 	epoch int32
 	stamp []int32   // stamp[v] == epoch ⇔ v reached in current sample
 	local []int32   // local id of v, valid when stamped
@@ -118,15 +120,52 @@ func (ws *Workspace) reach(v graph.V) (local int32, isNew bool) {
 	return local, true
 }
 
-// buildCSR turns the recorded edge list into ws.sg.
+// buildCSR turns the recorded edge list into ws.sg. Every vertex but the
+// source is reached by a live edge, so a sample with one edge fewer than
+// vertices is a tree: edge j is the one that reached local id j+1, and its
+// parent ws.eFrom[j] is nondecreasing in j, because the BFS records edges in
+// the order it dequeues their sources. For such a sample OutTo is 1…N−1,
+// InTo is eFrom, InStart is 0,0,1,…,N−1 and OutStart comes from the runs of
+// eFrom — the arrays Build would produce, byte for byte, written without its
+// counting sort. Any other sample goes through Build.
 func (ws *Workspace) buildCSR() *SampledGraph {
 	ws.sg.Orig = ws.orig
-	ws.sg.Build(len(ws.orig), ws.eFrom, ws.eTo)
+	n := len(ws.orig)
+	parent := ws.eFrom
+	if len(parent) != n-1 {
+		ws.sg.Build(n, parent, ws.eTo)
+		return &ws.sg
+	}
+	fg := &ws.sg.FlowGraph
+	outStart, outTo := slices.Grow(fg.OutStart[:0], n+1)[:n+1], slices.Grow(fg.OutTo[:0], n-1)[:n-1]
+	inStart, inTo := slices.Grow(fg.InStart[:0], n+1)[:n+1], slices.Grow(fg.InTo[:0], n-1)[:n-1]
+	copy(inTo, parent)
+	inStart[0] = 0
+	u := int32(0) // the next vertex whose out-row start is unset
+	for j, p := range parent {
+		for ; u <= p; u++ {
+			outStart[u] = int32(j)
+		}
+		outTo[j] = int32(j + 1)
+		inStart[j+1] = int32(j)
+	}
+	for ; int(u) <= n; u++ {
+		outStart[u] = int32(n - 1)
+	}
+	inStart[n] = int32(n - 1)
+	*fg = dominator.FlowGraph{N: n, OutStart: outStart, OutTo: outTo, InStart: inStart, InTo: inTo}
 	return &ws.sg
 }
 
 // IC is the LiveSampler for the independent cascade model: each edge is live
 // independently with its propagation probability.
+//
+// Its coins are r.Bernoulli(p) written out in place: p ≤ 0 and p ≥ 1
+// settle the edge without a draw, and any other p (NaN included) takes one
+// Uint64 draw whose top 53 bits, scaled as Float64 scales them, must fall
+// below p. rng.Source.Float64 is over the compiler's inlining budget, so
+// the call would cost more than the draw; the draws and their order are
+// Bernoulli's exactly.
 type IC struct {
 	g *graph.Graph
 }
@@ -154,8 +193,8 @@ func (ic *IC) Sample(src graph.V, blocked []bool, r *rng.Source, ws *Workspace) 
 			if blocked != nil && blocked[v] {
 				continue
 			}
-			if !r.Bernoulli(ps[i]) {
-				continue
+			if p := ps[i]; p <= 0 || !(p >= 1) && !(float64(r.Uint64()>>11)/(1<<53) < p) {
+				continue // a dead edge
 			}
 			lv, isNew := ws.reach(v)
 			if isNew {
@@ -184,12 +223,13 @@ func (ic *IC) SimulateCount(src graph.V, blocked []bool, r *rng.Source, ws *Work
 			if ws.stamp[v] == ws.epoch {
 				continue // already active: at most one activation attempt matters
 			}
-			if r.Bernoulli(ps[i]) {
-				ws.stamp[v] = ws.epoch
-				ws.local[v] = int32(len(ws.orig))
-				ws.orig = append(ws.orig, v)
-				ws.queue = append(ws.queue, v)
+			if p := ps[i]; p <= 0 || !(p >= 1) && !(float64(r.Uint64()>>11)/(1<<53) < p) {
+				continue // a dead edge
 			}
+			ws.stamp[v] = ws.epoch
+			ws.local[v] = int32(len(ws.orig))
+			ws.orig = append(ws.orig, v)
+			ws.queue = append(ws.queue, v)
 		}
 	}
 	return len(ws.orig)

@@ -20,6 +20,7 @@ func solveBaselineGreedy(halt stopper, in *instance, b int, opt Options) Result 
 	base := rng.New(opt.Seed)
 
 	blocked := make([]bool, in.g.N())
+	var scratch cascade.Workspaces
 	var blockers []graph.V
 	var sims int64
 	call := uint64(0)
@@ -37,7 +38,7 @@ func solveBaselineGreedy(halt stopper, in *instance, b int, opt Options) Result 
 			blocked[u] = true
 			call++
 			spread := cascade.EstimateSpreadParallel(
-				sampler, in.src, blocked, opt.MCSRounds, opt.Workers, base.Split(call))
+				sampler, in.src, blocked, opt.MCSRounds, opt.Workers, base.Split(call), &scratch)
 			blocked[u] = false
 			sims += int64(opt.MCSRounds)
 			if bestV == -1 || spread < bestSpread {

@@ -21,6 +21,9 @@ import (
 //	             containing the vertex blocked in the previous round. Its
 //	             loop includes the round-0 priming scan, so the reported
 //	             ns/round is the honest cold-solve average.
+//	FreshWikiVote is Fresh on the Wiki-Vote stand-in (7,115 vertices,
+//	             ~103k edges under trivalency): the serving graph's edge
+//	             count, but samples of ~168 vertices, 61% of them trees.
 //
 // Run with:
 //
@@ -97,7 +100,26 @@ func reportPerRound(b *testing.B) {
 }
 
 func BenchmarkDecreaseES_Fresh(b *testing.B) {
-	in := estBenchInstance(b)
+	benchFresh(b, estBenchInstance(b))
+}
+
+func BenchmarkDecreaseES_FreshWikiVote(b *testing.B) {
+	spec, _ := datasets.ByName("Wiki-Vote")
+	g := graph.Trivalency.Assign(spec.Generate(1, 1), rng.New(7))
+	seeds, err := datasets.RandomSeeds(g, estBenchSeeds, true, rng.New(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := newInstance(g, seeds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchFresh(b, in)
+}
+
+// benchFresh times the fresh estimator's rounds along the pooled
+// trajectory of in.
+func benchFresh(b *testing.B, in *instance) {
 	pool := NewSamplePool(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7))
 	traj := benchTrajectory(b, in, pool)
 	blocked := make([]bool, in.g.N())

@@ -11,8 +11,9 @@ import (
 // sampleKernel is one worker's reusable state for Algorithm 2's unit of
 // work, shared by every estimator: take one live-edge sample, restrict it
 // to the non-blocked region reachable from the source, build that flow
-// graph's dominator tree, and read off every vertex's dominator-subtree
-// size (Theorem 6). Its arrays grow to the largest sample processed.
+// graph's dominator tree (a tree sample is its own), and read off every
+// vertex's dominator-subtree size (Theorem 6). Its arrays grow to the
+// largest sample processed.
 type sampleKernel struct {
 	dws *dominator.Workspace
 	fg  dominator.FlowGraph // the filtered or edge-split sample, built here
@@ -46,14 +47,19 @@ func (k *sampleKernel) memoryBytes() int64 {
 
 // dominate returns the sample's vertices (original ids; index 0 = the
 // source) that stay reachable under the blocker set, with each one's
-// dominator-subtree size. A sample holding no blocked vertex — every
-// fresh sample (the sampler already skipped blocked vertices), every pool
-// sample while nothing is blocked, dirty samples whose flips were all
-// unblocks — already is the flow graph, so it goes straight to the dominator
-// computation; any other takes the filter path. A flow graph has exactly
-// one dominator tree, so both paths return identical sizes. The returned
-// slices alias kernel or sample storage and are valid until the next call.
+// dominator-subtree size. A tree sample takes the tree path (treeSizes),
+// whatever is blocked. Of the rest, a sample holding no blocked vertex —
+// every fresh sample (the sampler already skipped blocked vertices), every
+// pool sample while nothing is blocked, dirty samples whose flips were all
+// unblocks — already is the flow graph, so it goes straight to the
+// dominator computation; any other takes the filter path. A flow graph has
+// exactly one dominator tree, so every path returns identical sizes. The
+// returned slices alias kernel or sample storage and are valid until the
+// next call.
 func (k *sampleKernel) dominate(s *cascade.SampledGraph, blocked []bool) ([]graph.V, []int32) {
+	if orig, sizes, ok := k.treeSizes(s, blocked); ok {
+		return orig, sizes
+	}
 	if blocked != nil {
 		for _, v := range s.Orig {
 			if blocked[v] {
@@ -62,6 +68,56 @@ func (k *sampleKernel) dominate(s *cascade.SampledGraph, blocked []bool) ([]grap
 		}
 	}
 	return s.Orig, k.subtreeSizes(&s.FlowGraph, s.N)
+}
+
+// treeSizes is dominate's tree path. A sample whose every vertex but the
+// source has exactly one in-edge, from a smaller local id, is a tree rooted
+// at local 0 with InTo as its parent array (InTo[v−1] is v's parent), and a
+// tree is its own dominator tree. Removing blocked vertices cuts off their
+// subtrees and leaves a tree, so one forward pass keeps each vertex whose
+// parent was kept and which is not blocked, numbering the kept ones in
+// local-id order, and one reverse pass adds every kept vertex's size into
+// its parent's — no filter BFS, no Build and no SNCA. A sample with other
+// than N−1 edges is turned away in O(1), and the forward pass checks the
+// rest of the tree shape; ok is false, with nothing returned, for any
+// sample that fails. Sample ids are in discovery order, so every tree a
+// sampler draws passes, and its kept vertices come out in the filter BFS's
+// order (docs/INVARIANTS.md).
+func (k *sampleKernel) treeSizes(s *cascade.SampledGraph, blocked []bool) (orig []graph.V, sizes []int32, ok bool) {
+	n := int32(s.N)
+	inStart, parent := s.InStart, s.InTo
+	if len(parent) != s.N-1 || inStart[1] != 0 {
+		return nil, nil, false
+	}
+	// local[v] is v's id among the kept vertices, or -1 once it is cut off.
+	k.flocal = slices.Grow(k.flocal[:0], s.N)[:s.N]
+	local := k.flocal
+	local[0] = 0
+	k.forig = append(k.forig[:0], s.Orig[0])
+	for v := int32(1); v < n; v++ {
+		p := parent[v-1]
+		if inStart[v+1] != v || p >= v {
+			return nil, nil, false
+		}
+		if local[p] < 0 || blocked != nil && blocked[s.Orig[v]] {
+			local[v] = -1
+			continue
+		}
+		local[v] = int32(len(k.forig))
+		k.forig = append(k.forig, s.Orig[v])
+	}
+	kept := len(k.forig)
+	k.sizes = slices.Grow(k.sizes[:0], kept)[:kept]
+	sizes = k.sizes
+	for i := range sizes {
+		sizes[i] = 1
+	}
+	for v := n - 1; v > 0; v-- {
+		if lv := local[v]; lv > 0 {
+			sizes[local[parent[v-1]]] += sizes[lv]
+		}
+	}
+	return k.forig, sizes, true
 }
 
 // filterAndDominate is dominate's filter path: a BFS over the sample's

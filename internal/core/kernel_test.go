@@ -3,11 +3,14 @@ package core
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/imin-dev/imin/internal/cascade"
+	"github.com/imin-dev/imin/internal/datasets"
 	"github.com/imin-dev/imin/internal/dominator"
 	"github.com/imin-dev/imin/internal/graph"
+	"github.com/imin-dev/imin/internal/rng"
 )
 
 // kernelSample makes a sample over local ids [0, n) with the given live
@@ -57,6 +60,80 @@ func TestSampleKernelStampWrap(t *testing.T) {
 	fresh := newSampleKernel()
 	if want := sizesByOrig(fresh.filterAndDominate(s, nil)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the wrap: sizes %v, want %v", got, want)
+	}
+}
+
+// TestTreeFastPathMatchesSNCAProperty draws seeded IC and LT samples on the
+// serving graph's generator (preferential attachment under trivalency, ten
+// unified seeds; nearly every IC sample is a tree) and on a small dense
+// graph (many IC samples are not), and runs each without and with blocked
+// vertices. dominate must return the filter-and-SNCA path's (vertex, size)
+// pairs in the same order, and every tree sample must take the tree path.
+func TestTreeFastPathMatchesSNCAProperty(t *testing.T) {
+	serving := datasets.PreferentialAttachment(2000, 5, true, rng.New(1))
+	serving = graph.Trivalency.Assign(serving, rng.New(2))
+	dense := datasets.ErdosRenyi(40, 400, true, rng.New(3))
+	dense = graph.Trivalency.Assign(dense, rng.New(4))
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"serving", serving}, {"dense", dense}} {
+		seeds, err := datasets.RandomSeeds(c.g, 10, true, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := newInstance(c.g, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []Diffusion{DiffusionIC, DiffusionLT} {
+			sampler := in.sampler(d)
+			ws := sampler.NewWorkspace()
+			r, br := rng.New(6), rng.New(7)
+			fast, ref := newSampleKernel(), newSampleKernel()
+			blocked := make([]bool, in.g.N())
+			trees, others, cut := 0, 0, 0
+			for i := 0; i < 2000; i++ {
+				s := sampler.Sample(in.src, nil, r, ws)
+				isTree := len(s.InTo) == s.N-1
+				if isTree {
+					trees++
+				} else {
+					others++
+				}
+				for _, withBlocked := range []bool{false, true} {
+					var b []bool
+					if withBlocked {
+						for _, v := range s.Orig[1:] {
+							blocked[v] = br.Intn(4) == 0
+						}
+						b = blocked
+					}
+					if _, _, ok := fast.treeSizes(s, b); ok != isTree {
+						t.Fatalf("%s %v sample %d: tree path taken %v, tree %v", c.name, d, i, ok, isTree)
+					}
+					orig, sizes := fast.dominate(s, b)
+					wantOrig, wantSizes := ref.filterAndDominate(s, b)
+					if !slices.Equal(orig, wantOrig) || !slices.Equal(sizes, wantSizes) {
+						t.Fatalf("%s %v sample %d blocked=%v: dominate %v %v, filter and SNCA %v %v",
+							c.name, d, i, withBlocked, orig, sizes, wantOrig, wantSizes)
+					}
+					if isTree && len(orig) < s.N {
+						cut++
+					}
+				}
+				for _, v := range s.Orig {
+					blocked[v] = false
+				}
+			}
+			t.Logf("%s %v: %d trees, %d others, %d cut", c.name, d, trees, others, cut)
+			if trees == 0 || cut == 0 {
+				t.Fatalf("%s %v: %d tree samples, %d with vertices cut off", c.name, d, trees, cut)
+			}
+			if c.name == "dense" && d == DiffusionIC && others == 0 {
+				t.Fatalf("dense IC: no non-tree sample among %d", trees)
+			}
+		}
 	}
 }
 
@@ -134,7 +211,10 @@ func reachCount(s *cascade.SampledGraph, skip int32) int32 {
 //   - the no-blocked shortcut equals the filter path run with an
 //     all-false blocked set;
 //   - on the edge-split graph, each live edge's size equals the number of
-//     vertices that lose every path from the source when it is removed.
+//     vertices that lose every path from the source when it is removed;
+//   - dominate takes the tree path exactly on samples whose every vertex
+//     but the source has one in-edge, from a smaller id (the first check
+//     covers its sizes).
 func FuzzSampleKernel(f *testing.F) {
 	f.Add(encodeKernelSample(5, nil, [][2]int32{{0, 1}, {0, 2}, {1, 3}, {1, 4}}))                        // tree
 	f.Add(encodeKernelSample(4, nil, [][2]int32{{0, 1}, {0, 2}, {1, 3}, {2, 3}}))                        // diamond
@@ -142,6 +222,8 @@ func FuzzSampleKernel(f *testing.F) {
 	f.Add(encodeKernelSample(4, []int32{1}, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 1}}))                 // only source successor blocked
 	f.Add(encodeKernelSample(5, []int32{1, 2, 3, 4}, [][2]int32{{0, 1}, {0, 2}, {2, 3}, {3, 4}}))        // every non-source vertex blocked
 	f.Add(encodeKernelSample(4, []int32{3}, [][2]int32{{0, 1}, {0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 2}})) // repeated edge, blocked cycle
+	f.Add(encodeKernelSample(7, []int32{1}, [][2]int32{{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 5}, {3, 6}})) // tree, blocked inner vertex
+	f.Add(encodeKernelSample(5, nil, [][2]int32{{0, 3}, {3, 1}, {1, 4}, {0, 2}}))                        // tree not in discovery order
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, blockedLocal, edges := decodeKernelSample(data)
 		s := kernelSample(n, edges)
@@ -170,6 +252,16 @@ func FuzzSampleKernel(f *testing.F) {
 		short := sizesByOrig(k.dominate(s, none))
 		if filtered := sizesByOrig(k.filterAndDominate(s, none)); !reflect.DeepEqual(short, filtered) {
 			t.Fatalf("n=%d edges=%v: shortcut %v, filter path %v", n, edges, short, filtered)
+		}
+
+		tree := len(edges) == n-1
+		hasParent := make([]bool, n)
+		for _, e := range edges {
+			tree = tree && e[1] != 0 && !hasParent[e[1]] && e[0] < e[1]
+			hasParent[e[1]] = true
+		}
+		if _, _, ok := k.treeSizes(s, blocked); ok != tree {
+			t.Fatalf("n=%d edges=%v: tree path taken %v, want %v", n, edges, ok, tree)
 		}
 
 		split := k.dominateSplit(s)

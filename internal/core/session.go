@@ -46,6 +46,10 @@ type Session struct {
 	insts []*sessionInstance
 	tick  int64
 	stats SessionStats
+	// EvaluateSpread's sampling scratch and blocked mask, kept across calls;
+	// each call clears the mask before use.
+	eval        cascade.Workspaces
+	evalBlocked []bool
 
 	// Pool counters are atomic so the serving layer's /stats can read them
 	// without queueing behind an in-flight solve on the session lock.
@@ -448,7 +452,12 @@ func (h *LockedSession) EvaluateSpread(seeds []graph.V, blockers []graph.V, roun
 	}
 	opt = opt.withDefaults()
 	in := si.in
-	blocked := make([]bool, in.g.N())
+	n := in.g.N()
+	if cap(s.evalBlocked) < n {
+		s.evalBlocked = make([]bool, n)
+	}
+	blocked := s.evalBlocked[:n]
+	clear(blocked)
 	for _, v := range blockers {
 		if v < 0 || int(v) >= s.g.N() {
 			return 0, fmt.Errorf("core: blocker %d out of range", v)
@@ -462,7 +471,7 @@ func (h *LockedSession) EvaluateSpread(seeds []graph.V, blockers []graph.V, roun
 	if workers == 0 {
 		workers = s.workers
 	}
-	spread := cascade.EstimateSpreadParallel(si.est.Sampler(), in.src, blocked, rounds, workers, rng.New(opt.Seed^0x5eed))
+	spread := cascade.EstimateSpreadParallel(si.est.Sampler(), in.src, blocked, rounds, workers, rng.New(opt.Seed^0x5eed), &s.eval)
 	return graph.SpreadFromUnified(spread, in.numSeeds), nil
 }
 

@@ -301,7 +301,7 @@ func EvaluateSpread(g *graph.Graph, seeds []graph.V, blockers []graph.V, rounds 
 		blocked[v] = true
 	}
 	s := in.sampler(opt.Diffusion)
-	unifiedSpread := cascade.EstimateSpreadParallel(s, in.src, blocked, rounds, opt.Workers, rng.New(opt.Seed^0x5eed))
+	unifiedSpread := cascade.EstimateSpreadParallel(s, in.src, blocked, rounds, opt.Workers, rng.New(opt.Seed^0x5eed), nil)
 	return graph.SpreadFromUnified(unifiedSpread, in.numSeeds), nil
 }
 

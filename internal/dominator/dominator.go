@@ -23,7 +23,8 @@ package dominator
 // FlowGraph is the adjacency input: a directed graph in CSR form over
 // vertices [0, N). Both successor and predecessor lists are required.
 // It is also the format of every live-edge sample (cascade.SampledGraph
-// embeds it), and Build is the one place an edge list becomes one.
+// embeds it). Build turns any edge list into one; cascade writes a tree
+// sample's arrays directly, byte for byte what Build would write.
 type FlowGraph struct {
 	N        int
 	OutStart []int32
