@@ -71,7 +71,7 @@ func main() {
 		workers       = flag.Int("workers", 0, "parallel workers per solve (0 = all cores)")
 		timeout       = flag.Duration("timeout", 0, "default per-solve timeout (0 = none; requests may set timeout_ms)")
 		theta         = flag.Int("theta", 10000, "default sampled graphs per estimation round")
-		evalRounds    = flag.Int("eval", 2000, "default Monte-Carlo rounds for spread reports")
+		evalRounds    = flag.Int("eval", 2000, "default held-out samples behind spread reports, drawn once per seed set and epoch")
 		preload       = flag.String("preload", "", "comma-separated dataset stand-ins to register at startup")
 		scale         = flag.Float64("scale", 0.02, "scale for -preload datasets")
 		rngSeed       = flag.Uint64("rng", 1, "seed for -preload generation")

@@ -39,7 +39,8 @@ const (
 	estBenchRounds = 10 // the budget b: one DecreaseES call per greedy round
 )
 
-func estBenchInstance(b *testing.B) *instance {
+// estBenchGraph returns the serving-size graph and its seed set.
+func estBenchGraph(b *testing.B) (*graph.Graph, []graph.V) {
 	b.Helper()
 	g := datasets.PreferentialAttachment(estBenchN, estBenchEPV, true, rng.New(1))
 	g = graph.Trivalency.Assign(g, rng.New(2))
@@ -47,7 +48,12 @@ func estBenchInstance(b *testing.B) *instance {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in, err := newInstance(g, seeds)
+	return g, seeds
+}
+
+func estBenchInstance(b *testing.B) *instance {
+	b.Helper()
+	in, err := newInstance(estBenchGraph(b))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 
@@ -111,6 +112,18 @@ func (sh *drawShard) appendSample(sg *cascade.SampledGraph) {
 // different worker count, and that makes ReuseSamples solves reproducible
 // across machines with different core counts.
 func NewSamplePool(sampler cascade.LiveSampler, src graph.V, theta, workers int, base *rng.Source) *SamplePool {
+	p, _ := drawSamplePool(context.Background(), sampler, src, theta, workers, base)
+	return p
+}
+
+// drawCheckEvery is the most samples a drawing worker takes between two
+// looks at the context.
+const drawCheckEvery = 2000
+
+// drawSamplePool is NewSamplePool that gives up when ctx is canceled: each
+// worker checks ctx before every drawCheckEvery-th sample of its range, and
+// a canceled draw returns ctx.Err() and no pool.
+func drawSamplePool(ctx context.Context, sampler cascade.LiveSampler, src graph.V, theta, workers int, base *rng.Source) (*SamplePool, error) {
 	workers = poolWorkers(workers, theta)
 
 	// Each worker appends its range of samples into private contiguous
@@ -126,6 +139,9 @@ func NewSamplePool(sampler cascade.LiveSampler, src graph.V, theta, workers int,
 			defer wg.Done()
 			ws := sampler.NewWorkspace()
 			for i := lo; i < hi; i++ {
+				if (i-lo)%drawCheckEvery == 0 && ctx.Err() != nil {
+					return
+				}
 				// Split reads the parent state without mutating it, so
 				// concurrent per-sample derivation is race-free.
 				sh.appendSample(sampler.Sample(src, nil, base.Split(uint64(i)), ws))
@@ -133,6 +149,9 @@ func NewSamplePool(sampler cascade.LiveSampler, src graph.V, theta, workers int,
 		}(&shards[w], lo, hi)
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	p := &SamplePool{
 		g:         sampler.Graph(),
@@ -176,7 +195,7 @@ func NewSamplePool(sampler cascade.LiveSampler, src graph.V, theta, workers int,
 	wg.Wait()
 
 	p.buildIndex(workers)
-	return p
+	return p, nil
 }
 
 // buildIndex fills the vertex → sample-ids CSR by counting sort over the
@@ -272,6 +291,71 @@ func (p *SamplePool) view(i int, sg *cascade.SampledGraph) {
 // region contains v. The slice aliases pool storage: do not modify it.
 func (p *SamplePool) SamplesContaining(v graph.V) []int32 {
 	return p.idxSample[p.idxStart[v]:p.idxStart[v+1]]
+}
+
+// reachScratch is reached's scratch, kept across calls.
+type reachScratch struct {
+	walked []bool  // per sample: walked in this call already
+	ids    []int32 // the samples marked in walked, to unmark them
+	seen   []bool  // per local id of the sample being walked
+	queue  []int32
+}
+
+// reached sums, over the pool's first rounds samples, the vertices that
+// stay reachable from the source once the vertices marked in blocked are
+// deleted; blockers lists the marked vertices. Deleting B from a live-edge
+// sample of G leaves a live-edge sample of G[V\B], so the sum divided by
+// rounds estimates the spread on G[V\B] (Lemma 1). Only the samples that
+// contain a blocker are walked; every other sample keeps all its vertices.
+func (p *SamplePool) reached(rounds int, blockers []graph.V, blocked []bool, sc *reachScratch) int64 {
+	total := p.vertStart[rounds]
+	if cap(sc.walked) < rounds {
+		sc.walked = make([]bool, rounds)
+	}
+	walked := sc.walked[:rounds]
+	sc.ids = sc.ids[:0]
+	for _, b := range blockers {
+		for _, i := range p.SamplesContaining(b) {
+			if int(i) >= rounds {
+				break // ids ascend
+			}
+			if walked[i] {
+				continue
+			}
+			walked[i] = true
+			sc.ids = append(sc.ids, i)
+			total -= p.vertStart[i+1] - p.vertStart[i] - p.unblockedReach(int(i), blocked, sc)
+		}
+	}
+	for _, i := range sc.ids {
+		walked[i] = false
+	}
+	return total
+}
+
+// unblockedReach counts the vertices of sample i that a BFS from local 0
+// reaches without entering a vertex marked in blocked.
+func (p *SamplePool) unblockedReach(i int, blocked []bool, sc *reachScratch) int64 {
+	var sg cascade.SampledGraph
+	p.view(i, &sg)
+	if cap(sc.seen) < sg.N {
+		sc.seen = make([]bool, sg.N)
+	}
+	seen := sc.seen[:sg.N]
+	clear(seen)
+	seen[0] = true
+	queue := append(sc.queue[:0], 0)
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
+		for _, v := range sg.OutTo[sg.OutStart[u]:sg.OutStart[u+1]] {
+			if !seen[v] && !blocked[sg.Orig[v]] {
+				seen[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	sc.queue = queue
+	return int64(len(queue))
 }
 
 // MemoryBytes reports the pool's resident footprint — every backing array,

@@ -6,17 +6,17 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"github.com/imin-dev/imin/internal/cascade"
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
 )
 
 // Session keeps the expensive per-problem solver state warm across Solve
 // calls on one graph under one diffusion model: the multi-seed unified
-// instance (UnifySeeds copies the whole graph), the live-edge sampler, and
-// the Algorithm 2 estimator with its per-worker scratch (several O(n)
-// arrays per worker). A cold Solve pays all of that on every call; a warm
-// Session call with the same seed set skips straight to the greedy rounds.
+// instance (UnifySeeds copies the whole graph), the live-edge sampler, the
+// Algorithm 2 estimator with its per-worker scratch (several O(n) arrays
+// per worker), and the held-out pool EvaluateSpread counts on. A cold
+// Solve pays all of that on every call; a warm Session call with the same
+// seed set skips straight to the greedy rounds.
 //
 // A Session is bound to (graph, diffusion model) at construction, plus a
 // default worker count: Solve overrides Options.Diffusion with the
@@ -46,10 +46,10 @@ type Session struct {
 	insts []*sessionInstance
 	tick  int64
 	stats SessionStats
-	// EvaluateSpread's sampling scratch and blocked mask, kept across calls;
-	// each call clears the mask before use.
-	eval        cascade.Workspaces
+	// EvaluateSpread's blocked mask and counting scratch, kept across
+	// calls; each call clears the mask before use.
 	evalBlocked []bool
+	evalReach   reachScratch
 
 	// Pool counters are atomic so the serving layer's /stats can read them
 	// without queueing behind an in-flight solve on the session lock.
@@ -72,8 +72,8 @@ const maxSessionInstances = 4
 const maxSessionPools = 2
 
 // sessionInstance is the prepared state for one seed set: the unified
-// instance, the estimator bound to its sampler, and the ReuseSamples pools
-// drawn for it so far.
+// instance, the estimator bound to its sampler, the ReuseSamples pools
+// drawn for it so far, and its held-out eval pool.
 type sessionInstance struct {
 	key   string
 	seeds []graph.V // the exact seed sequence, for re-preparing after Advance
@@ -81,7 +81,30 @@ type sessionInstance struct {
 	est   *Estimator
 	used  int64 // LRU tick, guarded by the session lock
 	pools []*sessionPool
+	// eval is the pool EvaluateSpread counts on, drawn on the reserved
+	// stream evalBase at the largest rounds asked so far; nil until the
+	// first evaluation.
+	eval *SamplePool
 }
+
+// poolBytes is the footprint si holds in the session's pool-bytes gauge.
+func (si *sessionInstance) poolBytes() int64 {
+	var n int64
+	for _, sp := range si.pools {
+		n += sp.bytes
+	}
+	if si.eval != nil {
+		n += si.eval.MemoryBytes()
+	}
+	return n
+}
+
+// evalBase is the reserved stream of every eval pool: sample i is
+// evalBase().Split(i). Selection streams split rng.New(Options.Seed) by
+// round or worker index or by ^0, never by ^1, so no selection stream
+// shares it, and an eval pool depends on neither the request's seed nor
+// its workers.
+func evalBase() *rng.Source { return rng.New(0).Split(^uint64(1)) }
 
 // sessionPool is one cached ReuseSamples pool with its incremental
 // estimator. The pool content is fully determined by (Options.Seed,
@@ -110,7 +133,8 @@ type SessionStats struct {
 	// PoolBuilds and PoolReuses count ReuseSamples solves that had to draw
 	// their θ-sample pool versus ones that found it cached under the same
 	// (seed set, Options.Seed, Options.Theta); PoolBytes is the resident
-	// footprint of all cached pools and their estimators.
+	// footprint of all cached pools — ReuseSamples pools with their
+	// estimators, and eval pools.
 	PoolBuilds int64
 	PoolReuses int64
 	PoolBytes  int64
@@ -193,9 +217,7 @@ func (s *Session) prepare(seeds []graph.V) (si *sessionInstance, built bool, err
 				lru = i
 			}
 		}
-		for _, sp := range s.insts[lru].pools {
-			s.poolBytes.Add(-sp.bytes)
-		}
+		s.poolBytes.Add(-s.insts[lru].poolBytes())
 		s.insts[lru] = si
 	}
 	s.stats.Rebuilds++
@@ -282,13 +304,14 @@ type AdvanceStats struct {
 	// Instances is the number of prepared seed-set instances re-bound to
 	// the new graph.
 	Instances int
-	// PoolsRepaired counts cached sample pools migrated by incremental
-	// repair; PoolsDropped counts pools that had to be discarded (the
-	// vertex count changed under a multi-seed instance, which moves the
-	// super-seed id) — the next solve on those keys rebuilds cold.
+	// PoolsRepaired counts cached sample pools (ReuseSamples and eval
+	// pools) migrated by incremental repair; PoolsDropped counts pools that
+	// had to be discarded (the vertex count changed under a multi-seed
+	// instance, which moves the super-seed id) — the next solve or
+	// evaluation on those keys draws afresh.
 	PoolsRepaired, PoolsDropped int
-	// SamplesRedrawn and SamplesKept partition the repaired pools' θ
-	// samples into redrawn-dirty versus byte-copied-clean.
+	// SamplesRedrawn and SamplesKept partition the repaired pools' samples
+	// into redrawn-dirty versus byte-copied-clean.
 	SamplesRedrawn, SamplesKept int64
 }
 
@@ -304,11 +327,12 @@ type AdvanceStats struct {
 // change are redrawn: under IC those containing a changed source, under LT
 // additionally those containing an old in-neighbor of a changed target
 // (RepairSetLT) — leaving estimator state bit-identical to a cold build at
-// the new epoch, so warm solves stay warm across mutations. For multi-seed
-// instances the changed vertices are mapped into the unified id space (a
-// changed seed row folds into the super-seed's combined row); a grown
-// vertex count moves the super-seed id, so those pools are dropped rather
-// than repaired.
+// the new epoch, so warm solves stay warm across mutations. Each eval pool
+// is repaired by the same call and criterion, so it stays the pool a fresh
+// draw at the new epoch would give. For multi-seed instances the changed
+// vertices are mapped into the unified id space (a changed seed row folds
+// into the super-seed's combined row); a grown vertex count moves the
+// super-seed id, so those pools are dropped rather than repaired.
 func (h *LockedSession) Advance(g *graph.Graph, epoch uint64, changedSources, changedTargets []graph.V) AdvanceStats {
 	s := h.s
 	var st AdvanceStats
@@ -319,9 +343,7 @@ func (h *LockedSession) Advance(g *graph.Graph, epoch uint64, changedSources, ch
 		if err != nil {
 			// Cannot happen while ids are stable and n only grows, but a
 			// dropped instance (rebuilt on next use) beats a poisoned one.
-			for _, sp := range si.pools {
-				s.poolBytes.Add(-sp.bytes)
-			}
+			s.poolBytes.Add(-si.poolBytes())
 			continue
 		}
 		sampler := in.sampler(s.diffusion)
@@ -375,6 +397,20 @@ func (h *LockedSession) Advance(g *graph.Graph, epoch uint64, changedSources, ch
 			pools = append(pools, sp)
 		}
 		si.pools = pools
+		if si.eval != nil {
+			s.poolBytes.Add(-si.eval.MemoryBytes())
+			if repairable {
+				newPool, dirty := si.eval.Repair(sampler, criterion, s.workers)
+				st.PoolsRepaired++
+				st.SamplesRedrawn += int64(len(dirty))
+				st.SamplesKept += int64(newPool.Theta() - len(dirty))
+				si.eval = newPool
+				s.poolBytes.Add(newPool.MemoryBytes())
+			} else {
+				st.PoolsDropped++
+				si.eval = nil
+			}
+		}
 		si.in = in
 		si.est = NewEstimator(sampler, s.workers)
 		kept = append(kept, si)
@@ -393,9 +429,7 @@ func (h *LockedSession) Advance(g *graph.Graph, epoch uint64, changedSources, ch
 func (h *LockedSession) Reset(g *graph.Graph, epoch uint64) {
 	s := h.s
 	for _, si := range s.insts {
-		for _, sp := range si.pools {
-			s.poolBytes.Add(-sp.bytes)
-		}
+		s.poolBytes.Add(-si.poolBytes())
 	}
 	s.insts = nil
 	s.g = g
@@ -443,15 +477,63 @@ func (h *LockedSession) Solve(ctx context.Context, seeds []graph.V, b int, alg A
 	return res, err
 }
 
-// EvaluateSpread is Session.EvaluateSpread on an already-acquired session.
+// EvaluateSpread is EvaluateSpreadContext without cancellation, for
+// callers that hold no request context.
 func (h *LockedSession) EvaluateSpread(seeds []graph.V, blockers []graph.V, rounds int, opt Options) (float64, error) {
+	spread, _, err := h.EvaluateSpreadContext(context.TODO(), seeds, blockers, rounds, opt)
+	return spread, err
+}
+
+// EvaluateSpreadContext estimates the expected spread E(S, G[V\B]) in
+// original-problem terms, like the stateless EvaluateSpread, but counts on
+// the seed set's held-out eval pool instead of running fresh Monte-Carlo
+// rounds. The pool is drawn once per seed set and epoch on the reserved
+// stream evalBase — sample i from evalBase().Split(i) — so the estimate
+// depends on neither opt.Seed nor the worker count; opt.Workers (zero:
+// the session default) only parallelizes the draw. The estimate is the
+// mean, over the pool's first rounds samples, of what a BFS from the
+// source reaches without entering a blocker. Those samples are exactly
+// the pool a draw of rounds samples gives, so a smaller request reads a
+// prefix of a larger pool; a larger one redraws the pool at its size.
+// drawn reports whether this call drew. A draw checks ctx at least every
+// drawCheckEvery samples per worker; a canceled one returns ctx.Err() and
+// keeps whatever pool the seed set had.
+func (h *LockedSession) EvaluateSpreadContext(ctx context.Context, seeds []graph.V, blockers []graph.V, rounds int, opt Options) (spread float64, drawn bool, err error) {
+	if rounds <= 0 {
+		return 0, false, fmt.Errorf("core: non-positive eval rounds %d", rounds)
+	}
 	s := h.s
 	si, _, err := s.prepare(seeds)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	opt = opt.withDefaults()
 	in := si.in
+	blocked, err := s.blockedMask(in, blockers)
+	if err != nil {
+		return 0, false, err
+	}
+	if si.eval == nil || si.eval.Theta() < rounds {
+		workers := opt.Workers
+		if workers == 0 {
+			workers = s.workers
+		}
+		pool, err := drawSamplePool(ctx, si.est.Sampler(), in.src, rounds, workers, evalBase())
+		if err != nil {
+			return 0, false, err
+		}
+		if si.eval != nil {
+			s.poolBytes.Add(-si.eval.MemoryBytes())
+		}
+		si.eval, drawn = pool, true
+		s.poolBytes.Add(pool.MemoryBytes())
+	}
+	total := si.eval.reached(rounds, blockers, blocked, &s.evalReach)
+	return graph.SpreadFromUnified(float64(total)/float64(rounds), in.numSeeds), drawn, nil
+}
+
+// blockedMask marks blockers in the session's reusable mask over in's
+// working graph, rejecting out-of-range ids and seeds.
+func (s *Session) blockedMask(in *instance, blockers []graph.V) ([]bool, error) {
 	n := in.g.N()
 	if cap(s.evalBlocked) < n {
 		s.evalBlocked = make([]bool, n)
@@ -460,19 +542,14 @@ func (h *LockedSession) EvaluateSpread(seeds []graph.V, blockers []graph.V, roun
 	clear(blocked)
 	for _, v := range blockers {
 		if v < 0 || int(v) >= s.g.N() {
-			return 0, fmt.Errorf("core: blocker %d out of range", v)
+			return nil, fmt.Errorf("core: blocker %d out of range", v)
 		}
 		if in.isSeed[v] {
-			return 0, fmt.Errorf("core: blocker %d is a seed", v)
+			return nil, fmt.Errorf("core: blocker %d is a seed", v)
 		}
 		blocked[v] = true
 	}
-	workers := opt.Workers
-	if workers == 0 {
-		workers = s.workers
-	}
-	spread := cascade.EstimateSpreadParallel(si.est.Sampler(), in.src, blocked, rounds, workers, rng.New(opt.Seed^0x5eed), &s.eval)
-	return graph.SpreadFromUnified(spread, in.numSeeds), nil
+	return blocked, nil
 }
 
 // Solve is SolveContext through the session's cached state. The session's
@@ -491,16 +568,17 @@ func (s *Session) Solve(ctx context.Context, seeds []graph.V, b int, alg Algorit
 	return h.Solve(ctx, seeds, b, alg, opt)
 }
 
-// EvaluateSpread is EvaluateSpread through the session's cached instance
-// and sampler (the estimator is untouched). ctx only bounds the wait for
-// the session lock; the evaluation itself runs to completion.
+// EvaluateSpread is LockedSession.EvaluateSpreadContext on a session it
+// acquires for the call: ctx bounds both the wait for the session lock and
+// the draw of the seed set's eval pool.
 func (s *Session) EvaluateSpread(ctx context.Context, seeds []graph.V, blockers []graph.V, rounds int, opt Options) (float64, error) {
 	h, err := s.Acquire(ctx)
 	if err != nil {
 		return 0, err
 	}
 	defer h.Release()
-	return h.EvaluateSpread(seeds, blockers, rounds, opt)
+	spread, _, err := h.EvaluateSpreadContext(ctx, seeds, blockers, rounds, opt)
+	return spread, err
 }
 
 // Stats returns a snapshot of the reuse counters. It waits for any

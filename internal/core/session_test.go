@@ -116,27 +116,6 @@ func TestSessionInterleavedSeedSets(t *testing.T) {
 	}
 }
 
-// Session.EvaluateSpread must agree with the stateless EvaluateSpread.
-func TestSessionEvaluateSpread(t *testing.T) {
-	g := sessionTestGraph(200)
-	seeds := []graph.V{1, 4}
-	blockers := []graph.V{7, 20}
-	opt := Options{Seed: 5, Workers: 2}
-
-	want, err := EvaluateSpread(g, seeds, blockers, 2000, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(g, DiffusionIC, 2)
-	got, err := sess.EvaluateSpread(context.Background(), seeds, blockers, 2000, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("session spread %v != direct %v", got, want)
-	}
-}
-
 // Waiting for a busy session is context-aware: a canceled caller stops
 // queueing with ctx.Err() instead of blocking until the session frees.
 func TestSessionLockContextAware(t *testing.T) {

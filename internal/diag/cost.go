@@ -31,7 +31,8 @@ type SolveCost struct {
 	PrepareNS int64 `json:"prepare_ns,omitempty"`
 	// SolveNS is the greedy loop proper (core.Result.Runtime).
 	SolveNS int64 `json:"solve_ns"`
-	// EvalNS is the optional before/after Monte-Carlo spread evaluation.
+	// EvalNS is the optional before/after spread evaluation, including
+	// the draw of the seed set's held-out samples when this solve made it.
 	EvalNS int64 `json:"eval_ns,omitempty"`
 	// TotalNS is end-to-end handler time for this solve item.
 	TotalNS int64 `json:"total_ns"`
@@ -53,10 +54,11 @@ type SolveCost struct {
 	SamplesKept    int64 `json:"samples_kept,omitempty"`
 
 	// PoolBytes is the resident sample-pool footprint of the session that
-	// served this solve (reuse_samples sessions only).
+	// served this solve: reuse_samples pools and the spread report's
+	// held-out samples.
 	PoolBytes int64 `json:"pool_bytes,omitempty"`
-	// MCSSimulations counts Monte-Carlo spread simulations run by the
-	// eval phases.
+	// MCSSimulations counts the Monte-Carlo spread simulations
+	// baseline-greedy's selection ran; the spread report runs none.
 	MCSSimulations int64 `json:"mcs_simulations,omitempty"`
 }
 

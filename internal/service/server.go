@@ -47,7 +47,9 @@ type Config struct {
 	DefaultEvalRounds int
 	// MaxTheta and MaxEvalRounds clamp the per-request sample counts (one
 	// estimation round is not cancelable, so unbounded values would let a
-	// single request burn CPU past any timeout). Defaults 1e6 and 50000.
+	// single request burn CPU past any timeout). MaxEvalRounds also bounds
+	// each seed set's held-out eval pool, about MaxEvalRounds × the mean
+	// sample size of session memory. Defaults 1e6 and 50000.
 	MaxTheta      int
 	MaxEvalRounds int
 	// MaxGraphSize rejects generator registrations whose vertex count or
@@ -1314,7 +1316,9 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 	if evalRounds > 0 {
 		evalStart := time.Now()
 		evalSpan := tr.StartSpan("eval.before")
-		before, err = evaluateSpread(ctx, lh, seeds, nil, evalRounds, opt)
+		var drawn bool
+		before, drawn, err = lh.EvaluateSpreadContext(ctx, seeds, nil, evalRounds, opt)
+		evalSpan.SetAttr("pool_drawn", drawn)
 		evalSpan.End()
 		cost.EvalNS += time.Since(evalStart).Nanoseconds()
 		if err != nil {
@@ -1352,7 +1356,8 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 	if evalRounds > 0 && !resp.Canceled {
 		evalStart := time.Now()
 		evalSpan := tr.StartSpan("eval.after")
-		after, err := evaluateSpread(ctx, lh, seeds, res.Blockers, evalRounds, opt)
+		after, drawn, err := lh.EvaluateSpreadContext(ctx, seeds, res.Blockers, evalRounds, opt)
+		evalSpan.SetAttr("pool_drawn", drawn)
 		evalSpan.End()
 		cost.EvalNS += time.Since(evalStart).Nanoseconds()
 		if err != nil {
@@ -1367,33 +1372,6 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 	}
 	resp.TotalMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	return resp, nil
-}
-
-// evalChunk is the largest number of Monte-Carlo rounds run between
-// context checks: one EvaluateSpread call is not cancelable, so the
-// before/after spread reports run in chunks to stop burning CPU (and
-// holding the worker slot and session) once the client is gone.
-const evalChunk = 2000
-
-// evaluateSpread is EvaluateSpread on an acquired session with
-// cancellation, averaging independent chunks (each on its own rng stream)
-// into one estimate.
-func evaluateSpread(ctx context.Context, h *core.LockedSession, seeds, blockers []graph.V, rounds int, opt core.Options) (float64, error) {
-	var total float64
-	for done := 0; done < rounds; done += evalChunk {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		n := min(rounds-done, evalChunk)
-		copt := opt
-		copt.Seed = opt.Seed + uint64(done)*0x9e3779b97f4a7c15
-		v, err := h.EvaluateSpread(seeds, blockers, n, copt)
-		if err != nil {
-			return 0, err
-		}
-		total += v * float64(n)
-	}
-	return total / float64(rounds), nil
 }
 
 // evalStatus maps a solve or evaluation failure to a status: a dead or

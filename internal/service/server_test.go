@@ -240,19 +240,28 @@ func TestWarmSolveHitsSessionCache(t *testing.T) {
 func TestSolveCanceledContext(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	registerTestGraphs(t, ts)
-	_ = ts
 
-	// A budget far beyond what the cancel window allows: the full run
-	// would take many seconds.
-	req := SolveRequest{Seeds: []int{1}, Budget: 300, Algorithm: "advanced-greedy",
-		Theta: 2000, Seed: 1, EvalRounds: -1}
+	// Sized so the full run takes seconds (399 rounds; 1.9 s at half this
+	// θ on a 2-vCPU host); the cancel lands after the first round instead.
+	req := SolveRequest{Seeds: []int{1}, Budget: 399, Algorithm: "advanced-greedy",
+		Theta: 60000, Seed: 1, EvalRounds: -1}
 	buf, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan struct{})
 	go func() {
-		time.Sleep(100 * time.Millisecond)
+		// Cancel once the server's round counter shows the first round.
+		rounds := srv.metrics.rounds.With("select")
+		for rounds.Value() == 0 {
+			select {
+			case <-served:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
 		cancel()
 	}()
 
@@ -261,6 +270,7 @@ func TestSolveCanceledContext(t *testing.T) {
 	start := time.Now()
 	srv.Handler().ServeHTTP(w, r)
 	elapsed := time.Since(start)
+	close(served)
 
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
@@ -270,7 +280,7 @@ func TestSolveCanceledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !resp.Canceled {
-		t.Fatalf("response not marked canceled: %+v", resp)
+		t.Fatalf("response not marked canceled after %v: %+v", elapsed, resp)
 	}
 	if len(resp.Blockers) >= req.Budget {
 		t.Errorf("got full budget of %d blockers despite cancellation", len(resp.Blockers))

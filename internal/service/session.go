@@ -17,9 +17,9 @@ type SessionKey struct {
 }
 
 // CacheStats reports session-cache effectiveness and the resident footprint
-// of the ReuseSamples pools cached inside the live sessions (read without
-// blocking on any session's solve lock, so /stats stays responsive while
-// solves run).
+// of the sample pools cached inside the live sessions — ReuseSamples pools
+// and eval pools — read without blocking on any session's solve lock, so
+// /stats stays responsive while solves run.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

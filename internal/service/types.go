@@ -181,19 +181,26 @@ type SolveRequest struct {
 	// MCSRounds is baseline-greedy's Monte-Carlo rounds per evaluation
 	// (clamped to the server's MaxEvalRounds; effective value echoed).
 	MCSRounds int `json:"mcs_rounds,omitempty"`
-	// EvalRounds is the Monte-Carlo rounds for the before/after spread
-	// report; 0 uses the server default, -1 skips the spread evaluation
-	// (clamped to the server's MaxEvalRounds).
+	// EvalRounds is the number of held-out live-edge samples behind the
+	// before/after spread report; 0 uses the server default, -1 skips the
+	// spread evaluation (clamped to the server's MaxEvalRounds). The
+	// samples are drawn once per seed set and graph epoch on a stream of
+	// their own and kept in the warm session, about EvalRounds × the mean
+	// sample size of memory (counted in pool_bytes); each report is the
+	// mean of what their first EvalRounds samples still reach, so the
+	// spreads depend on neither Seed nor Workers.
 	EvalRounds int `json:"eval_rounds,omitempty"`
-	// Seed makes the request reproducible.
+	// Seed makes the blocker selection reproducible. It does not enter the
+	// spread report (see EvalRounds).
 	Seed uint64 `json:"seed,omitempty"`
 	// Workers bounds the solve's internal parallelism (estimator shards,
-	// spread evaluation). 0 uses the server's -workers default; values are
-	// clamped to GOMAXPROCS. For reuse_samples solves the blocker output is
-	// identical at every worker count (the estimator's sharded reduction is
-	// deterministic), so workers is purely a latency/parallelism knob there;
-	// fresh-sampling solves tie their rng streams to the worker count, so
-	// equal workers is part of their reproducibility key.
+	// the draw of the spread report's samples). 0 uses the server's
+	// -workers default; values are clamped to GOMAXPROCS. For
+	// reuse_samples solves the blocker output is identical at every worker
+	// count (the estimator's sharded reduction is deterministic), so
+	// workers is purely a latency/parallelism knob there; fresh-sampling
+	// solves tie their rng streams to the worker count, so equal workers is
+	// part of their reproducibility key. Spreads never depend on it.
 	Workers int `json:"workers,omitempty"`
 	// ReuseSamples draws the θ live-edge samples once and reuses the pool
 	// across greedy rounds through the delta-maintained incremental
@@ -218,8 +225,9 @@ type SolveResponse struct {
 	Model     string `json:"model"`
 	Seeds     []int  `json:"seeds"`
 	Blockers  []int  `json:"blockers"`
-	// SpreadBefore/SpreadAfter are Monte-Carlo estimates of the expected
-	// spread with no blockers and with the returned blockers; omitted when
+	// SpreadBefore/SpreadAfter estimate the expected spread with no
+	// blockers and with the returned blockers, from the seed set's
+	// held-out samples (see SolveRequest.EvalRounds); omitted when
 	// eval_rounds = -1.
 	SpreadBefore *float64 `json:"spread_before,omitempty"`
 	SpreadAfter  *float64 `json:"spread_after,omitempty"`
