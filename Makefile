@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-fix bench bench-baseline bench-diff clean
+.PHONY: all build test lint lint-fix fuzz bench bench-baseline bench-diff clean
 
 all: build
 
@@ -28,6 +28,20 @@ lint:
 
 lint-fix:
 	gofmt -w .
+
+# fuzz runs every fuzz target for FUZZTIME each: the WAL decoders, the
+# graph loaders, seed unification, the dominator tree and the sample
+# kernel. CI's crash-recovery job runs it at the default.
+FUZZTIME ?= 20s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALBatch$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzUnifySeeds$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDominatorTree$$' -fuzztime $(FUZZTIME) ./internal/dominator
+	$(GO) test -run '^$$' -fuzz '^FuzzSampleKernel$$' -fuzztime $(FUZZTIME) ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

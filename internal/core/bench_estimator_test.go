@@ -24,6 +24,10 @@ import (
 //	FreshWikiVote is Fresh on the Wiki-Vote stand-in (7,115 vertices,
 //	             ~103k edges under trivalency): the serving graph's edge
 //	             count, but samples of ~168 vertices, 61% of them trees.
+//	IncrementalWikiVote is Incremental on the same stand-in: every later
+//	             round's dirty samples that are not trees run masked SNCA,
+//	             a path the serving graph's samples (nearly all trees)
+//	             rarely take.
 //
 // Run with:
 //
@@ -110,6 +114,13 @@ func BenchmarkDecreaseES_Fresh(b *testing.B) {
 }
 
 func BenchmarkDecreaseES_FreshWikiVote(b *testing.B) {
+	benchFresh(b, wikiVoteInstance(b))
+}
+
+// wikiVoteInstance returns the Wiki-Vote stand-in under trivalency with ten
+// unified seeds.
+func wikiVoteInstance(b *testing.B) *instance {
+	b.Helper()
 	spec, _ := datasets.ByName("Wiki-Vote")
 	g := graph.Trivalency.Assign(spec.Generate(1, 1), rng.New(7))
 	seeds, err := datasets.RandomSeeds(g, estBenchSeeds, true, rng.New(42))
@@ -120,7 +131,7 @@ func BenchmarkDecreaseES_FreshWikiVote(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchFresh(b, in)
+	return in
 }
 
 // benchFresh times the fresh estimator's rounds along the pooled
@@ -157,7 +168,16 @@ func BenchmarkDecreaseES_Pooled(b *testing.B) {
 }
 
 func BenchmarkDecreaseES_Incremental(b *testing.B) {
-	in := estBenchInstance(b)
+	benchIncremental(b, estBenchInstance(b))
+}
+
+func BenchmarkDecreaseES_IncrementalWikiVote(b *testing.B) {
+	benchIncremental(b, wikiVoteInstance(b))
+}
+
+// benchIncremental times the incremental estimator's rounds along the
+// pooled trajectory of in.
+func benchIncremental(b *testing.B, in *instance) {
 	pool := NewSamplePool(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7))
 	traj := benchTrajectory(b, in, pool)
 	blocked := make([]bool, in.g.N())

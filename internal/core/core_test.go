@@ -129,9 +129,6 @@ func TestThetaBound(t *testing.T) {
 	if got := ThetaBound(1, 0.1, 1, 1); got != 1 {
 		t.Errorf("degenerate n: %d", got)
 	}
-	if p := EstimationFailureProb(1000, 1); math.Abs(p-0.001) > 1e-12 {
-		t.Errorf("failure prob = %v", p)
-	}
 }
 
 func TestThetaBoundPanics(t *testing.T) {

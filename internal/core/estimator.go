@@ -135,10 +135,11 @@ func (e *Estimator) DecreaseES(dst []float64, src graph.V, blocked []bool, theta
 // every vertex's subtree size into the worker accumulator (one iteration of
 // Algorithm 2's outer loop). The sampler already left blocked vertices out.
 func (e *Estimator) accumulateOne(st *estWorker, src graph.V, blocked []bool, r *rng.Source) {
-	orig, sizes := st.dominate(e.sampler.Sample(src, blocked, r, st.cws), nil)
+	s := e.sampler.Sample(src, blocked, r, st.cws)
+	sizes := st.dominate(s, nil)
 	// Local id 0 is the source; it is never a candidate blocker.
-	for local := 1; local < len(orig); local++ {
-		st.acc[orig[local]] += int64(sizes[local])
+	for local := 1; local < len(sizes); local++ {
+		st.acc[s.Orig[local]] += int64(sizes[local])
 	}
 }
 

@@ -26,11 +26,11 @@ import (
 //  1. diffs the requested blocker set against the one the cache reflects,
 //  2. collects the dirty samples through the pool's inverted index into a
 //     staging list, grouped into one contiguous batch per worker shard,
-//  3. has the workers retract the dirty samples' cached per-vertex
-//     subtree-size contributions, re-run the filtered dominator
-//     computation, and add the new contributions back — each worker into
-//     its own cache-line-aligned int64 accumulator, stealing batch chunks
-//     from overloaded shards once its own batch is drained,
+//  3. has the workers re-run the filtered dominator computation of the
+//     dirty samples and fold each vertex's change against its cached
+//     subtree-size contribution — each worker into its own
+//     cache-line-aligned int64 accumulator, stealing batch chunks from
+//     overloaded shards once its own batch is drained,
 //  4. refreshes the cached Δ vector at exactly the touched vertices by a
 //     range-partitioned parallel reduction over the worker accumulators.
 //
@@ -72,14 +72,13 @@ type IncrementalPooledEstimator struct {
 	vals        []float64 // vals[u] = float64(Σ_s acc_s[u])/θ, maintained at touched entries
 
 	// Per-sample contribution cache mirroring the pool's vertex arena:
-	// sample i's entries occupy the first contribLen[i] slots of
-	// contrib{Vert,Size}[pool.vertStart[i]:], which fits because a sample
-	// contributes at most K_i−1 (vertex, size) pairs. Slots of distinct
-	// samples are disjoint, so workers recompute dirty samples in parallel.
-	// The cache is partition-independent state: resharding reuses it to
-	// rebuild the new shard accumulators.
-	contribLen  []int32
-	contribVert []graph.V
+	// contribSize[pool.vertStart[i]+l] is the subtree size sample i last
+	// folded in for its local vertex l, whose original id is
+	// pool.vertOrig at the same offset; it is 0 for the source and for a
+	// vertex blocked or cut off. Slots of distinct samples are disjoint, so
+	// workers recompute dirty samples in parallel. The cache is
+	// partition-independent state: resharding reuses it to rebuild the new
+	// shard accumulators.
 	contribSize []int32
 
 	shards  []*incShard
@@ -163,8 +162,6 @@ func NewIncrementalPooledEstimatorFromPool(pool *SamplePool, workers int) *Incre
 		pool:        pool,
 		prevBlocked: make([]bool, n),
 		vals:        make([]float64, n),
-		contribLen:  make([]int32, pool.Theta()),
-		contribVert: make([]graph.V, tv),
 		contribSize: make([]int32, tv),
 		ownerOf:     make([]int32, pool.Theta()),
 		dirtyMark:   make([]bool, pool.Theta()),
@@ -244,9 +241,8 @@ func (e *IncrementalPooledEstimator) reshard(workers int) {
 	}
 	for i := 0; i < theta; i++ {
 		acc := e.shards[e.ownerOf[i]].acc
-		base := e.pool.vertStart[i]
-		for j := base; j < base+int64(e.contribLen[i]); j++ {
-			acc[e.contribVert[j]] += int64(e.contribSize[j])
+		for j := e.pool.vertStart[i]; j < e.pool.vertStart[i+1]; j++ {
+			acc[e.pool.vertOrig[j]] += int64(e.contribSize[j])
 		}
 	}
 }
@@ -557,26 +553,22 @@ func (e *IncrementalPooledEstimator) drain(from, to *incShard, blocked []bool, s
 	}
 }
 
-// processInto retracts each listed sample's cached contributions, recomputes
-// its filtered dominator tree under the new blocker set, and caches the
-// result — everything folded into worker to's own accumulator. The samples
-// need not be owned by to: Σ_s acc_s stays exact wherever the deltas land.
+// processInto recomputes each listed sample's dominator subtree sizes under
+// the new blocker set and folds each local vertex's change against its
+// cached contribution into worker to's own accumulator, touching only
+// vertices whose contribution changed. The samples need not be owned by to:
+// Σ_s acc_s stays exact wherever the deltas land.
 func (e *IncrementalPooledEstimator) processInto(to *incShard, samples []int32, blocked []bool) {
 	for _, i := range samples {
-		base := e.pool.vertStart[i]
-		old := int64(e.contribLen[i])
-		for j := base; j < base+old; j++ {
-			to.add(e.contribVert[j], -int64(e.contribSize[j]))
-		}
-
 		e.pool.view(int(i), &to.sview)
-		forig, sizes := to.dominate(&to.sview, blocked)
-		e.contribLen[i] = int32(len(forig) - 1)
-		for fl := 1; fl < len(forig); fl++ {
-			v, sz := forig[fl], sizes[fl]
-			e.contribVert[base+int64(fl-1)] = v
-			e.contribSize[base+int64(fl-1)] = sz
-			to.add(v, int64(sz))
+		sizes := to.dominate(&to.sview, blocked)
+		cached := e.contribSize[e.pool.vertStart[i]:e.pool.vertStart[i+1]]
+		// Local 0 is the source, never a candidate blocker: its slot stays 0.
+		for l := 1; l < len(sizes); l++ {
+			if d := sizes[l] - cached[l]; d != 0 {
+				to.add(to.sview.Orig[l], int64(d))
+				cached[l] = sizes[l]
+			}
 		}
 	}
 }
@@ -618,42 +610,34 @@ func (e *IncrementalPooledEstimator) RepairPool(newPool *SamplePool, dirty []int
 			sh.marked = marked
 		}
 	}
+	ns := make([]int32, newPool.vertStart[newPool.Theta()])
 	if !e.primed {
 		// No cached contributions to relocate; the priming round draws
 		// everything from the new pool anyway.
-		e.pool = newPool
-		tv := newPool.vertStart[newPool.Theta()]
-		e.contribVert = make([]graph.V, tv)
-		e.contribSize = make([]int32, tv)
+		e.pool, e.contribSize = newPool, ns
 		return
 	}
 	isDirty := make([]bool, old.Theta())
 	for _, i := range dirty {
 		isDirty[i] = true
 	}
-	tv := newPool.vertStart[newPool.Theta()]
-	nv := make([]graph.V, tv)
-	ns := make([]int32, tv)
 	for i := 0; i < old.Theta(); i++ {
+		ob, oe := old.vertStart[i], old.vertStart[i+1]
 		if isDirty[i] {
+			// The redrawn sample's slots in ns stay 0, so processInto does
+			// not retract these again when it recomputes the sample.
 			sh := e.shards[e.ownerOf[i]]
-			base := old.vertStart[i]
-			for j := base; j < base+int64(e.contribLen[i]); j++ {
-				sh.add(e.contribVert[j], -int64(e.contribSize[j]))
+			for j := ob; j < oe; j++ {
+				if sz := e.contribSize[j]; sz != 0 {
+					sh.add(old.vertOrig[j], -int64(sz))
+				}
 			}
-			// Zero length: processInto must not retract these again when it
-			// recomputes the sample next round.
-			e.contribLen[i] = 0
 			e.markDirty(int32(i))
 			continue
 		}
-		ob, nb := old.vertStart[i], newPool.vertStart[i]
-		l := int64(e.contribLen[i])
-		copy(nv[nb:nb+l], e.contribVert[ob:ob+l])
-		copy(ns[nb:nb+l], e.contribSize[ob:ob+l])
+		copy(ns[newPool.vertStart[i]:], e.contribSize[ob:oe])
 	}
-	e.contribVert, e.contribSize = nv, ns
-	e.pool = newPool
+	e.pool, e.contribSize = newPool, ns
 }
 
 // IncrementalStats reports the estimator's lifetime work counters.
@@ -704,15 +688,13 @@ func (e *IncrementalPooledEstimator) ShardProfiles() []ShardProfile {
 // MemoryBytes reports the pool plus the estimator's own resident footprint:
 // cached value vector, contribution arena, previous-blocker mask, staging
 // and batch buffers, and the per-shard state — the O(n) accumulator and
-// mark arrays plus the filter and dominator scratch grown during
-// processing. On large graphs at high worker counts the per-shard state
-// dwarfs the arena itself, which is why SetWorkers is worth calling
-// downward too.
+// mark arrays plus the dominator scratch grown during processing. On large
+// graphs at high worker counts the per-shard state dwarfs the arena itself,
+// which is why SetWorkers is worth calling downward too.
 func (e *IncrementalPooledEstimator) MemoryBytes() int64 {
 	total := e.pool.MemoryBytes() +
 		int64(len(e.vals))*8 +
-		int64(len(e.contribVert))*4 + int64(len(e.contribSize))*4 +
-		int64(len(e.contribLen))*4 + int64(len(e.ownerOf))*4 +
+		int64(len(e.contribSize))*4 + int64(len(e.ownerOf))*4 +
 		int64(len(e.prevBlocked)) + int64(len(e.dirtyMark)) +
 		int64(cap(e.dirtyList))*4 + int64(cap(e.batchBuf))*4 +
 		int64(cap(e.batchCnt))*4 + int64(cap(e.batchPos))*4 +

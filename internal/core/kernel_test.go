@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -30,45 +29,62 @@ func kernelSample(n int, edges [][2]int32) *cascade.SampledGraph {
 	return s
 }
 
-// sizesByOrig copies a kernel result into a map keyed by original id,
-// leaving out zero sizes (vertices the source does not reach).
-func sizesByOrig(orig []graph.V, sizes []int32) map[graph.V]int32 {
-	m := make(map[graph.V]int32, len(orig))
-	for i, v := range orig {
-		if sizes[i] != 0 {
-			m[v] = sizes[i]
-		}
-	}
-	return m
+// filterRef is the reference for the kernel's masking, sharing none of its
+// code: a BFS over the sample's live edges that skips blocked vertices,
+// FlowGraph.Build of what it reached, then SNCA without a mask.
+type filterRef struct {
+	dws      *dominator.Workspace
+	fg       dominator.FlowGraph
+	fid      []int32 // sample local id → id in fg, −1 while unreached
+	kept     []int32 // fg id → sample local id; doubles as the BFS queue
+	from, to []int32
+	fsizes   []int32
+	sizes    []int32
 }
 
-// TestSampleKernelStampWrap runs the filter across the wrap of its
-// generation counter. Vertices the first filter skipped must not read as
-// reached when the counter later comes back to the value the wrap left in
-// their stamps.
-func TestSampleKernelStampWrap(t *testing.T) {
-	s := kernelSample(4, [][2]int32{{0, 1}, {1, 2}, {0, 3}})
-	blocked := make([]bool, 2*4+1)
-	blocked[s.Orig[1]] = true
+func newFilterRef() *filterRef { return &filterRef{dws: dominator.NewWorkspace(0)} }
 
-	k := newSampleKernel()
-	k.stampGen = -1 // the next filter wraps the counter to 0
-	k.filterAndDominate(s, blocked)
-	k.stampGen = -2 // the next filter runs at generation -1
-	got := sizesByOrig(k.filterAndDominate(s, nil))
-
-	fresh := newSampleKernel()
-	if want := sizesByOrig(fresh.filterAndDominate(s, nil)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after the wrap: sizes %v, want %v", got, want)
+// dominate returns what sampleKernel.dominate must: every local id's
+// dominator-subtree size in the sample with the blocked vertices deleted, 0
+// where the filter did not reach. The slice is reused by the next call.
+func (r *filterRef) dominate(s *cascade.SampledGraph, blocked []bool) []int32 {
+	r.fid = slices.Grow(r.fid[:0], s.N)[:s.N]
+	for v := range r.fid {
+		r.fid[v] = -1
 	}
+	r.fid[0] = 0
+	r.kept = append(r.kept[:0], 0)
+	r.from, r.to = r.from[:0], r.to[:0]
+	for qi := 0; qi < len(r.kept); qi++ {
+		u := r.kept[qi]
+		for _, v := range s.Succ(u) {
+			if blocked != nil && blocked[s.Orig[v]] {
+				continue
+			}
+			if r.fid[v] < 0 {
+				r.fid[v] = int32(len(r.kept))
+				r.kept = append(r.kept, v)
+			}
+			r.from, r.to = append(r.from, r.fid[u]), append(r.to, r.fid[v])
+		}
+	}
+	r.fg.Build(len(r.kept), r.from, r.to)
+	r.fsizes = slices.Grow(r.fsizes[:0], r.fg.N)[:r.fg.N]
+	r.dws.SubtreeSizes(r.dws.SNCA(&r.fg, 0, nil, nil), r.fg.N, r.fsizes)
+	r.sizes = slices.Grow(r.sizes[:0], s.N)[:s.N]
+	clear(r.sizes)
+	for f, v := range r.kept {
+		r.sizes[v] = r.fsizes[f]
+	}
+	return r.sizes
 }
 
 // TestTreeFastPathMatchesSNCAProperty draws seeded IC and LT samples on the
 // serving graph's generator (preferential attachment under trivalency, ten
 // unified seeds; nearly every IC sample is a tree) and on a small dense
 // graph (many IC samples are not), and runs each without and with blocked
-// vertices. dominate must return the filter-and-SNCA path's (vertex, size)
-// pairs in the same order, and every tree sample must take the tree path.
+// vertices. dominate must return the filter reference's size at every local
+// id, zeros included, and every tree sample must take the tree path.
 func TestTreeFastPathMatchesSNCAProperty(t *testing.T) {
 	serving := datasets.PreferentialAttachment(2000, 5, true, rng.New(1))
 	serving = graph.Trivalency.Assign(serving, rng.New(2))
@@ -90,7 +106,7 @@ func TestTreeFastPathMatchesSNCAProperty(t *testing.T) {
 			sampler := in.sampler(d)
 			ws := sampler.NewWorkspace()
 			r, br := rng.New(6), rng.New(7)
-			fast, ref := newSampleKernel(), newSampleKernel()
+			fast, ref := newSampleKernel(), newFilterRef()
 			blocked := make([]bool, in.g.N())
 			trees, others, cut := 0, 0, 0
 			for i := 0; i < 2000; i++ {
@@ -109,16 +125,15 @@ func TestTreeFastPathMatchesSNCAProperty(t *testing.T) {
 						}
 						b = blocked
 					}
-					if _, _, ok := fast.treeSizes(s, b); ok != isTree {
+					if _, ok := fast.treeSizes(s, b); ok != isTree {
 						t.Fatalf("%s %v sample %d: tree path taken %v, tree %v", c.name, d, i, ok, isTree)
 					}
-					orig, sizes := fast.dominate(s, b)
-					wantOrig, wantSizes := ref.filterAndDominate(s, b)
-					if !slices.Equal(orig, wantOrig) || !slices.Equal(sizes, wantSizes) {
-						t.Fatalf("%s %v sample %d blocked=%v: dominate %v %v, filter and SNCA %v %v",
-							c.name, d, i, withBlocked, orig, sizes, wantOrig, wantSizes)
+					sizes := fast.dominate(s, b)
+					if want := ref.dominate(s, b); !slices.Equal(sizes, want) {
+						t.Fatalf("%s %v sample %d blocked=%v: dominate %v, filter reference %v",
+							c.name, d, i, withBlocked, sizes, want)
 					}
-					if isTree && len(orig) < s.N {
+					if isTree && slices.Contains(sizes, 0) {
 						cut++
 					}
 				}
@@ -203,13 +218,13 @@ func reachCount(s *cascade.SampledGraph, skip int32) int32 {
 }
 
 // FuzzSampleKernel checks the one per-sample kernel every estimator runs
-// against brute-force references that share none of its filter, shortcut,
-// edge-split or dominator code:
+// against references that share none of its masking, tree, edge-split or
+// dominator code:
 //
 //   - dominate equals dominator.NaiveSubtreeSizes on the sample with every
-//     edge touching a blocked vertex dropped, per original vertex;
-//   - the no-blocked shortcut equals the filter path run with an
-//     all-false blocked set;
+//     edge touching a blocked vertex dropped, at every local id;
+//   - dominate under an all-false mask equals the filter reference
+//     (filterRef: BFS, Build, unmasked SNCA) at every local id;
 //   - on the edge-split graph, each live edge's size equals the number of
 //     vertices that lose every path from the source when it is removed;
 //   - dominate takes the tree path exactly on samples whose every vertex
@@ -243,15 +258,14 @@ func FuzzSampleKernel(f *testing.F) {
 		}
 		var ref dominator.FlowGraph
 		ref.Build(n, from, to)
-		want := sizesByOrig(s.Orig, dominator.NaiveSubtreeSizes(&ref, 0))
-		if got := sizesByOrig(k.dominate(s, blocked)); !reflect.DeepEqual(got, want) {
+		want := dominator.NaiveSubtreeSizes(&ref, 0)
+		if got := k.dominate(s, blocked); !slices.Equal(got, want) {
 			t.Fatalf("n=%d blocked=%v edges=%v: dominate %v, naive %v", n, blockedLocal, edges, got, want)
 		}
 
 		none := make([]bool, 2*n+1)
-		short := sizesByOrig(k.dominate(s, none))
-		if filtered := sizesByOrig(k.filterAndDominate(s, none)); !reflect.DeepEqual(short, filtered) {
-			t.Fatalf("n=%d edges=%v: shortcut %v, filter path %v", n, edges, short, filtered)
+		if got, want := k.dominate(s, none), newFilterRef().dominate(s, none); !slices.Equal(got, want) {
+			t.Fatalf("n=%d edges=%v: dominate %v, filter reference %v", n, edges, got, want)
 		}
 
 		tree := len(edges) == n-1
@@ -260,7 +274,7 @@ func FuzzSampleKernel(f *testing.F) {
 			tree = tree && e[1] != 0 && !hasParent[e[1]] && e[0] < e[1]
 			hasParent[e[1]] = true
 		}
-		if _, _, ok := k.treeSizes(s, blocked); ok != tree {
+		if _, ok := k.treeSizes(s, blocked); ok != tree {
 			t.Fatalf("n=%d edges=%v: tree path taken %v, want %v", n, edges, ok, tree)
 		}
 

@@ -43,11 +43,9 @@ type SamplePool struct {
 	// out-CSR offsets (relative to the sample's own edge slice) are the
 	// K_i+1 entries of csrStart beginning at vertStart[i]+i; its live-edge
 	// targets, in sample-local ids, are edgeTo[edgeStart[i]:edgeStart[i+1]].
-	// The predecessor CSR (csrInStart/inFrom, same layout) is kept too: a
-	// sample containing no blocked vertex can then feed the dominator
-	// computation directly from the arena, skipping the filter BFS and CSR
-	// rebuild — the whole first (priming) round of the incremental
-	// estimator runs on that path.
+	// The predecessor CSR (csrInStart/inFrom, same layout) is kept too, so
+	// every sample feeds the dominator computation directly from the arena
+	// (SNCA masks the blocked vertices) with no CSR rebuild.
 	vertStart  []int64
 	edgeStart  []int64
 	vertOrig   []graph.V

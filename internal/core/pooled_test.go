@@ -13,9 +13,10 @@ import (
 
 // PooledEstimator is the straight-line reference for the pool-backed
 // estimator: every DecreaseES call re-scans all θ stored samples through
-// the kernel's filter path — never the no-blocked shortcut — with no state
-// carried between calls. IncrementalPooledEstimator must match it bit for
-// bit over the same pool, for every blocker sequence and worker count.
+// the filter reference (filterRef), which shares no masking or tree code
+// with the kernel, and carries no state between calls.
+// IncrementalPooledEstimator must match it bit for bit over the same pool,
+// for every blocker sequence and worker count.
 type PooledEstimator struct {
 	pool    *SamplePool
 	workers int
@@ -41,7 +42,7 @@ func NewPooledEstimatorFromPool(pool *SamplePool, workers int) *PooledEstimator 
 func (p *PooledEstimator) Theta() int { return p.pool.Theta() }
 
 type pooledWorker struct {
-	sampleKernel
+	ref   *filterRef
 	sview cascade.SampledGraph
 	acc   []int64
 }
@@ -49,8 +50,8 @@ type pooledWorker struct {
 func (p *PooledEstimator) worker(w int) *pooledWorker {
 	for len(p.scratch) <= w {
 		p.scratch = append(p.scratch, &pooledWorker{
-			sampleKernel: newSampleKernel(),
-			acc:          make([]int64, p.pool.g.N()),
+			ref: newFilterRef(),
+			acc: make([]int64, p.pool.g.N()),
 		})
 	}
 	return p.scratch[w]
@@ -74,9 +75,9 @@ func (p *PooledEstimator) DecreaseES(dst []float64, blocked []bool) {
 			}
 			for i := lo; i < hi; i++ {
 				p.pool.view(i, &st.sview)
-				forig, sizes := st.filterAndDominate(&st.sview, blocked)
-				for fl := 1; fl < len(forig); fl++ {
-					st.acc[forig[fl]] += int64(sizes[fl])
+				sizes := st.ref.dominate(&st.sview, blocked)
+				for l := 1; l < len(sizes); l++ {
+					st.acc[st.sview.Orig[l]] += int64(sizes[l])
 				}
 			}
 		}(st, lo, hi)

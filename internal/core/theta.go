@@ -24,10 +24,3 @@ func ThetaBound(n int, eps, l, optLB float64) int {
 	theta := l * (2 + eps) * float64(n) * math.Log(float64(n)) / (eps * eps * optLB)
 	return int(math.Ceil(theta))
 }
-
-// EstimationFailureProb returns the probability bound n^(-l) of Theorem 5
-// for a given l, i.e. the chance that the relative error guarantee does not
-// hold for one fixed vertex.
-func EstimationFailureProb(n int, l float64) float64 {
-	return math.Pow(float64(n), -l)
-}

@@ -301,15 +301,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestSortedByM(t *testing.T) {
-	specs := SortedByM()
-	for i := 1; i < len(specs); i++ {
-		if specs[i].FullM < specs[i-1].FullM {
-			t.Fatal("SortedByM not sorted")
-		}
-	}
-}
-
 // Property: generated graphs are structurally valid — no self loops, no
 // out-of-range ids, degree bookkeeping consistent.
 func TestGeneratorValidityProperty(t *testing.T) {

@@ -2,7 +2,6 @@ package datasets
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
@@ -115,12 +114,4 @@ func TableIV(scale float64, seed uint64) string {
 			s.FullN, s.FullM, paperAvg)
 	}
 	return out
-}
-
-// SortedByM returns the specs ordered by full edge count ascending — the
-// order the paper's figures use on their x axes.
-func SortedByM() []Spec {
-	specs := Registry()
-	sort.Slice(specs, func(i, j int) bool { return specs[i].FullM < specs[j].FullM })
-	return specs
 }

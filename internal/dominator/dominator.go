@@ -16,6 +16,11 @@
 // vertex-removal algorithm serves as the correctness oracle in tests and
 // in FuzzDominatorTree.
 //
+// SNCA takes an optional vertex mask. The estimators pass their blocker set
+// and get the dominator tree of the flow graph left once the masked
+// vertices are deleted, without building that graph; SubtreeSizes then
+// reports, by the input graph's own ids, 0 for a masked or cut-off vertex.
+//
 // All computations run inside a caller-owned Workspace, so the per-sample
 // cost in the estimator's hot loop is allocation-free.
 package dominator
@@ -85,16 +90,17 @@ func (fg *FlowGraph) Pred(v int32) []int32 { return fg.InTo[fg.InStart[v]:fg.InS
 type Tree struct {
 	// Root is the source vertex.
 	Root int32
-	// Idom[v] is v's immediate dominator, -1 for the root and for vertices
-	// unreachable from the root.
+	// Idom[v] is v's immediate dominator, -1 for the root, for masked
+	// vertices and for vertices unreachable from the root.
 	Idom []int32
-	// Reached is the number of vertices reachable from the root.
+	// Reached is the number of vertices reachable from the root without
+	// entering a masked vertex.
 	Reached int
 }
 
 // Workspace holds reusable scratch space for dominator computations.
 type Workspace struct {
-	dfn      []int32 // DFS preorder number, 1-based; 0 = unreachable
+	dfn      []int32 // DFS preorder number, 1-based; 0 = unreached, -1 = masked
 	vertex   []int32 // vertex[i] = v with dfn[v] == i
 	parent   []int32 // DFS tree parent
 	semi     []int32 // semidominator as a DFS number
@@ -143,10 +149,14 @@ func (ws *Workspace) grow(n int) {
 }
 
 // dfs numbers vertices reachable from root in DFS preorder and records DFS
-// tree parents. It returns the number of reachable vertices.
-func (ws *Workspace) dfs(fg *FlowGraph, root int32) int {
+// tree parents, never entering a vertex the mask deletes (see SNCA). It
+// returns the number of reached vertices.
+func (ws *Workspace) dfs(fg *FlowGraph, root int32, orig []int32, blocked []bool) int {
 	for v := 0; v < fg.N; v++ {
 		ws.dfn[v] = 0
+		if blocked != nil && blocked[orig[v]] {
+			ws.dfn[v] = -1
+		}
 	}
 	k := int32(1)
 	ws.dfn[root] = 1

@@ -1,6 +1,7 @@
 package dominator
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -59,7 +60,7 @@ func TestToyDominatorTree(t *testing.T) {
 		7: 4, // v8 under v5 (reachable via v5 directly and via v9)
 		6: 7, // v7 under v8
 	}
-	tr := NewWorkspace(fg.N).SNCA(fg, 0)
+	tr := NewWorkspace(fg.N).SNCA(fg, 0, nil, nil)
 	if tr.Reached != 9 {
 		t.Errorf("reached %d, want 9", tr.Reached)
 	}
@@ -73,7 +74,7 @@ func TestToyDominatorTree(t *testing.T) {
 func TestToySubtreeSizes(t *testing.T) {
 	fg := toyFlow()
 	ws := NewWorkspace(fg.N)
-	tr := ws.SNCA(fg, 0)
+	tr := ws.SNCA(fg, 0, nil, nil)
 	sizes := make([]int32, fg.N)
 	ws.SubtreeSizes(tr, fg.N, sizes)
 	// Full structural graph (all edges live): v5's subtree is
@@ -102,7 +103,7 @@ func TestLengauerTarjanPaperExample(t *testing.T) {
 		1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 8: 0, 9: 0, 11: 0, 12: 4,
 		6: 3, 7: 3, 10: 7,
 	}
-	tr := NewWorkspace(fg.N).SNCA(fg, 0)
+	tr := NewWorkspace(fg.N).SNCA(fg, 0, nil, nil)
 	for v, w := range want {
 		if tr.Idom[v] != w {
 			t.Errorf("idom(%d) = %d, want %d", v, tr.Idom[v], w)
@@ -120,7 +121,7 @@ func TestLengauerTarjanPaperExample(t *testing.T) {
 func TestSingleVertex(t *testing.T) {
 	fg := build(1, nil)
 	ws := NewWorkspace(1)
-	tr := ws.SNCA(fg, 0)
+	tr := ws.SNCA(fg, 0, nil, nil)
 	if tr.Reached != 1 || tr.Idom[0] != -1 {
 		t.Fatalf("single vertex: reached=%d idom=%d", tr.Reached, tr.Idom[0])
 	}
@@ -135,7 +136,7 @@ func TestUnreachableVertices(t *testing.T) {
 	// 0 -> 1; 2 -> 3 unreachable from 0.
 	fg := build(4, [][2]int32{{0, 1}, {2, 3}, {3, 1}})
 	ws := NewWorkspace(4)
-	tr := ws.SNCA(fg, 0)
+	tr := ws.SNCA(fg, 0, nil, nil)
 	if tr.Reached != 2 {
 		t.Fatalf("reached = %d, want 2", tr.Reached)
 	}
@@ -159,7 +160,7 @@ func TestCycle(t *testing.T) {
 	// 0 -> 1 -> 2 -> 1 (cycle back); idom(2)=1, idom(1)=0.
 	fg := build(3, [][2]int32{{0, 1}, {1, 2}, {2, 1}})
 	ws := NewWorkspace(3)
-	tr := ws.SNCA(fg, 0)
+	tr := ws.SNCA(fg, 0, nil, nil)
 	if tr.Idom[1] != 0 || tr.Idom[2] != 1 {
 		t.Fatalf("cycle idoms = %v", tr.Idom[:3])
 	}
@@ -169,7 +170,7 @@ func TestDiamond(t *testing.T) {
 	// Classic diamond: 0->1, 0->2, 1->3, 2->3. idom(3) = 0.
 	fg := build(4, [][2]int32{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	ws := NewWorkspace(4)
-	tr := ws.SNCA(fg, 0)
+	tr := ws.SNCA(fg, 0, nil, nil)
 	if tr.Idom[3] != 0 {
 		t.Fatalf("diamond idom(3) = %d, want 0", tr.Idom[3])
 	}
@@ -190,7 +191,7 @@ func TestLongPathDeepRecursionSafe(t *testing.T) {
 	}
 	fg := build(n, edges)
 	ws := NewWorkspace(n)
-	tr := ws.SNCA(fg, 0)
+	tr := ws.SNCA(fg, 0, nil, nil)
 	for v := 1; v < n; v++ {
 		if tr.Idom[v] != int32(v-1) {
 			t.Fatalf("path idom(%d) = %d", v, tr.Idom[v])
@@ -258,19 +259,63 @@ func TestBuildKeepsEdgeOrderProperty(t *testing.T) {
 	}
 }
 
+// disagreeWithNaive runs SNCA from vertex 0 on the graph over n vertices
+// with the given edges, masking each vertex v with mask[v] set (mask nil for
+// no mask), and compares its immediate dominators and Reached with Naive on
+// the same graph with every edge at a masked vertex other than the root
+// dropped. The mask goes through SNCA's id map as orig[v] = 2v+1, so a mask
+// read by graph id rather than through orig misreports.
+func disagreeWithNaive(ws *Workspace, n int, edges [][2]int32, mask []bool) error {
+	var orig []int32
+	var blocked []bool
+	kept := edges
+	if mask != nil {
+		orig = make([]int32, n)
+		blocked = make([]bool, 2*n+1)
+		kept = nil
+		for v := range orig {
+			orig[v] = int32(2*v + 1)
+			blocked[orig[v]] = mask[v]
+		}
+		for _, e := range edges {
+			if (e[0] == 0 || !mask[e[0]]) && (e[1] == 0 || !mask[e[1]]) {
+				kept = append(kept, e)
+			}
+		}
+	}
+	tr := ws.SNCA(build(n, edges), 0, orig, blocked)
+	naive := Naive(build(n, kept), 0)
+	reached := 1
+	for v := 0; v < n; v++ {
+		if tr.Idom[v] != naive[v] {
+			return fmt.Errorf("idom(%d) = %d, naive %d", v, tr.Idom[v], naive[v])
+		}
+		if naive[v] != -1 {
+			reached++
+		}
+	}
+	if tr.Reached != reached {
+		return fmt.Errorf("reached %d, naive %d", tr.Reached, reached)
+	}
+	return nil
+}
+
 // Property: SNCA and the naive oracle agree on random digraphs, including
-// graphs with cycles and unreachable parts.
+// graphs with cycles and unreachable parts, without a mask and with a
+// random one.
 func TestAlgorithmsAgreeProperty(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint8) bool {
+	f := func(seed uint64, nRaw, mRaw uint8, maskBits uint64) bool {
 		n := int(nRaw%40) + 2
 		m := int(mRaw%120) + 1
-		r := rng.New(seed)
-		fg := randomFlow(r, n, m)
-		sn := NewWorkspace(n).SNCA(fg, 0)
-		naive := Naive(fg, 0)
-		for v := 0; v < n; v++ {
-			if sn.Idom[v] != naive[v] {
-				t.Logf("seed=%d n=%d m=%d v=%d: SNCA=%d naive=%d", seed, n, m, v, sn.Idom[v], naive[v])
+		edges := randomEdges(rng.New(seed), n, m)
+		mask := make([]bool, n)
+		for v := range mask {
+			mask[v] = maskBits>>v&1 != 0
+		}
+		ws := NewWorkspace(n)
+		for _, mk := range [][]bool{nil, mask} {
+			if err := disagreeWithNaive(ws, n, edges, mk); err != nil {
+				t.Logf("seed=%d n=%d m=%d mask=%v: %v", seed, n, m, mk, err)
 				return false
 			}
 		}
@@ -290,7 +335,7 @@ func TestSubtreeSizesMatchDefinitionProperty(t *testing.T) {
 		r := rng.New(seed)
 		fg := randomFlow(r, n, m)
 		ws := NewWorkspace(n)
-		tr := ws.SNCA(fg, 0)
+		tr := ws.SNCA(fg, 0, nil, nil)
 		sizes := make([]int32, n)
 		ws.SubtreeSizes(tr, fg.N, sizes)
 		naive := NaiveSubtreeSizes(fg, 0)
@@ -316,9 +361,9 @@ func TestWorkspaceReuseProperty(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			n := r.Intn(30) + 2
 			fg := randomFlow(r, n, r.Intn(80)+1)
-			reused := shared.SNCA(fg, 0)
+			reused := shared.SNCA(fg, 0, nil, nil)
 			reusedIdom := append([]int32(nil), reused.Idom[:n]...)
-			fresh := NewWorkspace(n).SNCA(fg, 0)
+			fresh := NewWorkspace(n).SNCA(fg, 0, nil, nil)
 			for v := 0; v < n; v++ {
 				if reusedIdom[v] != fresh.Idom[v] {
 					return false
@@ -333,12 +378,20 @@ func TestWorkspaceReuseProperty(t *testing.T) {
 }
 
 // TestSNCAAllocatesNothing: once the workspace has grown, a dominator run
-// allocates nothing, the returned Tree included.
+// allocates nothing, the returned Tree included, with and without a mask.
 func TestSNCAAllocatesNothing(t *testing.T) {
 	fg := toyFlow()
 	ws := NewWorkspace(fg.N)
-	if allocs := testing.AllocsPerRun(20, func() { ws.SNCA(fg, 0) }); allocs != 0 {
-		t.Fatalf("SNCA allocates %v objects per run", allocs)
+	orig := make([]int32, fg.N)
+	for v := range orig {
+		orig[v] = int32(v)
+	}
+	blocked := make([]bool, fg.N)
+	blocked[4] = true
+	for _, b := range [][]bool{nil, blocked} {
+		if allocs := testing.AllocsPerRun(20, func() { ws.SNCA(fg, 0, orig, b) }); allocs != 0 {
+			t.Fatalf("SNCA (mask %v) allocates %v objects per run", b, allocs)
+		}
 	}
 }
 
@@ -349,7 +402,7 @@ func BenchmarkSNCARandom(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.SNCA(fg, 0)
+		ws.SNCA(fg, 0, nil, nil)
 	}
 }
 
@@ -385,39 +438,37 @@ func decodeFlow(data []byte) (int, [][2]int32) {
 	return n, edges
 }
 
-// FuzzDominatorTree checks SNCA's immediate dominators against the naive
-// oracle on arbitrary flow graphs rooted at vertex 0.
+// FuzzDominatorTree checks SNCA's immediate dominators and Reached against
+// the naive oracle on arbitrary flow graphs rooted at vertex 0, without a
+// mask and with the mask whose bit v (byte v/8, bit v%8; missing bytes read
+// 0) masks vertex v.
 func FuzzDominatorTree(f *testing.F) {
-	f.Add(encodeFlow(9, toyEdges))
-	f.Add(encodeFlow(13, ltPaperEdges))
-	f.Add(encodeFlow(1, nil))
-	f.Add(encodeFlow(3, [][2]int32{{0, 1}, {1, 2}, {2, 1}}))
-	f.Add(encodeFlow(4, [][2]int32{{0, 1}, {2, 3}, {3, 1}}))
+	f.Add(encodeFlow(9, toyEdges), []byte(nil))
+	f.Add(encodeFlow(9, toyEdges), []byte{1 << 4, 1})           // v5 and v9 masked
+	f.Add(encodeFlow(13, ltPaperEdges), []byte{1 << 1, 1 << 1}) // A and I masked
+	f.Add(encodeFlow(1, nil), []byte{1})                        // only the root, masked
+	f.Add(encodeFlow(3, [][2]int32{{0, 1}, {1, 2}, {2, 1}}), []byte{1 << 1})
+	f.Add(encodeFlow(4, [][2]int32{{0, 1}, {2, 3}, {3, 1}}), []byte(nil))
 	path := make([][2]int32, 63)
 	for i := range path {
 		path[i] = [2]int32{int32(i), int32(i + 1)}
 	}
-	f.Add(encodeFlow(64, path))
+	f.Add(encodeFlow(64, path), []byte{0, 0, 0, 1 << 7}) // cut at vertex 31
 	for seed := uint64(1); seed <= 8; seed++ {
 		n := 2 + int(seed)*5
-		f.Add(encodeFlow(n, randomEdges(rng.New(seed), n, 3*n)))
+		f.Add(encodeFlow(n, randomEdges(rng.New(seed), n, 3*n)), []byte{byte(seed * 37), byte(seed * 91)})
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, maskBytes []byte) {
 		n, edges := decodeFlow(data)
-		fg := build(n, edges)
-		tr := NewWorkspace(n).SNCA(fg, 0)
-		naive := Naive(fg, 0)
-		reached := 1
-		for v := 0; v < n; v++ {
-			if tr.Idom[v] != naive[v] {
-				t.Fatalf("n=%d edges=%v: idom(%d) = %d, naive %d", n, edges, v, tr.Idom[v], naive[v])
-			}
-			if naive[v] != -1 {
-				reached++
-			}
+		mask := make([]bool, n)
+		for v := range mask {
+			mask[v] = v/8 < len(maskBytes) && maskBytes[v/8]>>(v%8)&1 != 0
 		}
-		if tr.Reached != reached {
-			t.Fatalf("n=%d edges=%v: reached %d, naive %d", n, edges, tr.Reached, reached)
+		ws := NewWorkspace(n)
+		for _, mk := range [][]bool{nil, mask} {
+			if err := disagreeWithNaive(ws, n, edges, mk); err != nil {
+				t.Fatalf("n=%d edges=%v mask=%v: %v", n, edges, mk, err)
+			}
 		}
 	})
 }

@@ -9,11 +9,17 @@ package dominator
 // number does not exceed the vertex's semidominator (the "nearest common
 // ancestor" step). Same tree, simpler bookkeeping.
 //
+// blocked masks vertices: when it is non-nil, every vertex v other than the
+// root with blocked[orig[v]] set is treated as deleted with its edges, so
+// the result is the dominator tree of what the root still reaches. A masked
+// vertex gets DFS number −1, is never entered, reports idom −1 and is not
+// counted in Reached. With nil blocked, orig is unused and may be nil.
+//
 // The returned Tree is Workspace storage, so the call allocates nothing:
 // it is valid until the next computation with the same Workspace.
-func (ws *Workspace) SNCA(fg *FlowGraph, root int32) *Tree {
+func (ws *Workspace) SNCA(fg *FlowGraph, root int32, orig []int32, blocked []bool) *Tree {
 	ws.grow(fg.N)
-	k := ws.dfs(fg, root)
+	k := ws.dfs(fg, root, orig, blocked)
 
 	for i := 1; i <= k; i++ {
 		v := ws.vertex[i]
@@ -23,16 +29,17 @@ func (ws *Workspace) SNCA(fg *FlowGraph, root int32) *Tree {
 		ws.idom[v] = ws.parent[v] // provisional: DFS tree parent
 	}
 	for v := 0; v < fg.N; v++ {
-		if ws.dfn[v] == 0 {
+		if ws.dfn[v] <= 0 {
 			ws.idom[v] = -1
 		}
 	}
 
-	// Semidominator phase, in decreasing DFS order.
+	// Semidominator phase, in decreasing DFS order. A predecessor with DFS
+	// number ≤ 0 is masked or unreached and contributes no path.
 	for i := int32(k); i >= 2; i-- {
 		w := ws.vertex[i]
 		for _, v := range fg.Pred(w) {
-			if ws.dfn[v] == 0 {
+			if ws.dfn[v] <= 0 {
 				continue
 			}
 			u := ws.compressEval(v)

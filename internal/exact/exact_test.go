@@ -357,3 +357,88 @@ func BenchmarkExactSpreadToy(b *testing.B) {
 		}
 	}
 }
+
+// ActivationProbability computes the exact probability that vertex x is
+// activated from src: P_G(x, {src}) from Definition 1, by conditioning the
+// same way as Spread but scoring membership of x instead of counting. It is
+// the oracle TestSpreadIsSumOfActivationProbabilities checks Spread against
+// (Definition 3).
+func ActivationProbability(g *graph.Graph, src, x graph.V, nodeBudget int) (float64, error) {
+	if nodeBudget <= 0 {
+		nodeBudget = DefaultNodeBudget
+	}
+	if src == x {
+		return 1, nil
+	}
+	sc := &spreadComputer{
+		g:        g,
+		state:    make([]edgeState, g.M()),
+		edgeBase: make([]int32, g.N()),
+		budget:   nodeBudget,
+		seen:     make([]bool, g.N()),
+		queue:    make([]graph.V, 0, g.N()),
+	}
+	base := int32(0)
+	for u := graph.V(0); int(u) < g.N(); u++ {
+		sc.edgeBase[u] = base
+		base += int32(g.OutDegree(u))
+	}
+	for u := graph.V(0); int(u) < g.N(); u++ {
+		ps := g.OutProbs(u)
+		for i, p := range ps {
+			if p <= 0 {
+				sc.state[sc.edgeBase[u]+int32(i)] = dead
+			}
+		}
+	}
+	return sc.recurseProb(src, x)
+}
+
+// recurseProb evaluates P(x reachable | current edge states).
+func (sc *spreadComputer) recurseProb(src, x graph.V) (float64, error) {
+	sc.budget--
+	if sc.budget < 0 {
+		return 0, ErrBudget
+	}
+	reached := sc.reach(src)
+	if sc.seen[x] {
+		return 1, nil
+	}
+	frontierEdge := int32(-1)
+	var frontierU graph.V
+	var frontierI int
+	for _, u := range sc.queue[:reached] {
+		to := sc.g.OutNeighbors(u)
+		ps := sc.g.OutProbs(u)
+		for i, v := range to {
+			ei := sc.edgeBase[u] + int32(i)
+			if sc.state[ei] != undecided || ps[i] >= 1 || sc.seen[v] {
+				continue
+			}
+			frontierEdge = ei
+			frontierU = u
+			frontierI = i
+			break
+		}
+		if frontierEdge >= 0 {
+			break
+		}
+	}
+	if frontierEdge < 0 {
+		return 0, nil // x unreachable and the reachable set is final
+	}
+	p := sc.g.OutProbs(frontierU)[frontierI]
+	sc.state[frontierEdge] = live
+	pLive, err := sc.recurseProb(src, x)
+	if err != nil {
+		sc.state[frontierEdge] = undecided
+		return 0, err
+	}
+	sc.state[frontierEdge] = dead
+	pDead, err := sc.recurseProb(src, x)
+	sc.state[frontierEdge] = undecided
+	if err != nil {
+		return 0, err
+	}
+	return p*pLive + (1-p)*pDead, nil
+}

@@ -31,12 +31,6 @@ func (b *Builder) EnsureVertices(n int) {
 	}
 }
 
-// NumVertices returns the current vertex count.
-func (b *Builder) NumVertices() int { return b.n }
-
-// NumEdges returns the number of edges added so far (before deduplication).
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
 // AddEdge records the directed edge (u,v) with probability p. Probabilities
 // are clamped to [0,1], and NaN becomes 0. Self-loops are ignored: a vertex
 // activating itself is meaningless under the IC model. Vertex ids must be

@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"github.com/imin-dev/imin/internal/rng"
 )
@@ -202,28 +201,6 @@ func TestReachable(t *testing.T) {
 	}
 }
 
-func TestReachableCountBlocked(t *testing.T) {
-	g := toy()
-	blocked := make([]bool, 9)
-	blocked[4] = true // block v5
-	if c := g.ReachableCountBlocked(0, blocked); c != 3 {
-		t.Fatalf("blocking v5: reach = %d, want 3 (v1,v2,v4)", c)
-	}
-	blocked[4] = false
-	blocked[1], blocked[3] = true, true // block v2 and v4
-	if c := g.ReachableCountBlocked(0, blocked); c != 1 {
-		t.Fatalf("blocking v2,v4: reach = %d, want 1", c)
-	}
-	if c := g.ReachableCountBlocked(0, make([]bool, 9)); c != 9 {
-		t.Fatalf("no blockers: reach = %d, want 9", c)
-	}
-	blockedSelf := make([]bool, 9)
-	blockedSelf[0] = true
-	if c := g.ReachableCountBlocked(0, blockedSelf); c != 0 {
-		t.Fatalf("blocked source: reach = %d, want 0", c)
-	}
-}
-
 func TestBFSOrder(t *testing.T) {
 	g := toy()
 	var order []V
@@ -244,61 +221,6 @@ func TestBFSOrder(t *testing.T) {
 	}
 	if pos[6] < pos[7] {
 		t.Error("BFS order violates layering for v7")
-	}
-}
-
-func TestDFSPostorder(t *testing.T) {
-	g := toy()
-	var order []V
-	g.DFSPostorder(0, func(v V) { order = append(order, v) })
-	if len(order) != 9 {
-		t.Fatalf("postorder visited %d, want 9", len(order))
-	}
-	if order[len(order)-1] != 0 {
-		t.Fatal("source must be last in postorder")
-	}
-	pos := make(map[V]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	// A vertex appears after everything in its DFS subtree; v5 must come
-	// after v3, v6, v9 (all reachable only through it... they are leaves
-	// under v5 in any DFS).
-	for _, leaf := range []V{2, 5} {
-		if pos[leaf] > pos[4] {
-			t.Errorf("leaf %d after its only parent v5 in postorder", leaf)
-		}
-	}
-}
-
-func TestIsDAG(t *testing.T) {
-	if !toy().IsDAG() {
-		t.Error("toy graph is a DAG but IsDAG says no")
-	}
-	b := NewBuilder(3)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 2, 1)
-	b.AddEdge(2, 0, 1)
-	if b.Build().IsDAG() {
-		t.Error("3-cycle reported as DAG")
-	}
-}
-
-func TestBlockSemantics(t *testing.T) {
-	g := toy()
-	blocked := g.BlockSet([]V{4}) // block v5
-	if blocked.N() != g.N() {
-		t.Fatalf("Block changed vertex count: %d", blocked.N())
-	}
-	if blocked.InDegree(4) != 0 || blocked.OutDegree(4) != 0 {
-		t.Fatal("blocked vertex retains edges")
-	}
-	if c := blocked.ReachableCount(0); c != 3 {
-		t.Fatalf("reach after blocking v5 = %d, want 3", c)
-	}
-	// Non-incident edges survive with probabilities intact.
-	if p := blocked.Prob(0, 1); p != 1 {
-		t.Fatalf("unrelated edge lost: p(v1,v2)=%v", p)
 	}
 }
 
@@ -479,64 +401,5 @@ func TestKeepProbs(t *testing.T) {
 	g := toy()
 	if KeepProbs.Assign(g, nil) != g {
 		t.Fatal("KeepProbs should return the input unchanged")
-	}
-}
-
-// Property: Block never increases reachability, and blocking more vertices
-// never increases it further (monotonicity of the reachable set in B).
-func TestBlockMonotonicityProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8, extra uint8) bool {
-		n := int(nRaw%20) + 2
-		r := rng.New(seed)
-		b := NewBuilder(n)
-		for i := 0; i < 3*n; i++ {
-			b.AddEdge(V(r.Intn(n)), V(r.Intn(n)), r.Float64())
-		}
-		g := b.Build()
-		src := V(r.Intn(n))
-		base := g.ReachableCount(src)
-
-		blocked := make([]bool, n)
-		v1 := V(r.Intn(n))
-		if v1 == src {
-			v1 = V((int(v1) + 1) % n)
-		}
-		blocked[v1] = true
-		c1 := g.ReachableCountBlocked(src, blocked)
-		v2 := V(int(extra) % n)
-		if v2 == src {
-			v2 = V((int(v2) + 1) % n)
-		}
-		blocked[v2] = true
-		c2 := g.ReachableCountBlocked(src, blocked)
-		return c1 <= base && c2 <= c1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: reachability via Block (graph rebuild) matches
-// ReachableCountBlocked (in-place filter).
-func TestBlockEquivalenceProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%15) + 2
-		r := rng.New(seed)
-		b := NewBuilder(n)
-		for i := 0; i < 2*n; i++ {
-			b.AddEdge(V(r.Intn(n)), V(r.Intn(n)), 1)
-		}
-		g := b.Build()
-		src := V(0)
-		blocked := make([]bool, n)
-		for v := 1; v < n; v++ {
-			blocked[v] = r.Bernoulli(0.3)
-		}
-		want := g.ReachableCountBlocked(src, blocked)
-		got := g.Block(blocked).ReachableCount(src)
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

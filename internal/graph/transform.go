@@ -3,43 +3,8 @@ package graph
 import "fmt"
 
 // This file implements the structural transforms the algorithms rely on:
-// vertex blocking (Definition 2), graph reversal, induced subgraph
-// extraction, and the multi-seed unification of Section V ("From Multiple
-// Seeds to One Seed").
-
-// Block returns G[V \ B]: the graph with every vertex v having blocked[v]
-// removed from propagation. Vertex ids are preserved; blocked vertices stay
-// in the graph but lose all incident edges, so they are never activated and
-// never propagate, matching Definition 2 (all their in-probabilities become
-// 0, which also makes their out-edges unreachable).
-func (g *Graph) Block(blocked []bool) *Graph {
-	if len(blocked) != g.n {
-		panic(fmt.Sprintf("graph: blocked slice length %d for %d vertices", len(blocked), g.n))
-	}
-	b := NewBuilder(g.n)
-	for u := V(0); int(u) < g.n; u++ {
-		if blocked[u] {
-			continue
-		}
-		to := g.OutNeighbors(u)
-		ps := g.OutProbs(u)
-		for i, v := range to {
-			if !blocked[v] {
-				b.AddEdge(u, v, ps[i])
-			}
-		}
-	}
-	return b.Build()
-}
-
-// BlockSet is Block with the blocker set given as a vertex list.
-func (g *Graph) BlockSet(blockers []V) *Graph {
-	blocked := make([]bool, g.n)
-	for _, v := range blockers {
-		blocked[v] = true
-	}
-	return g.Block(blocked)
-}
+// graph reversal, induced subgraph extraction, and the multi-seed
+// unification of Section V ("From Multiple Seeds to One Seed").
 
 // Reverse returns the graph with every edge direction flipped, preserving
 // probabilities. Reverse-reachability arguments (Section V-B1) and some

@@ -29,128 +29,17 @@ func (g *Graph) BFS(src V, visit func(V)) {
 // as a boolean slice of length N.
 func (g *Graph) Reachable(src V) []bool {
 	seen := make([]bool, g.n)
-	g.reachInto(src, seen, nil)
-	return seen
-}
-
-// ReachableFrom returns the set of vertices reachable from any vertex in
-// srcs, as a boolean slice of length N.
-func (g *Graph) ReachableFrom(srcs []V) []bool {
-	seen := make([]bool, g.n)
-	var queue []V
-	for _, s := range srcs {
-		if !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	g.drain(seen, queue)
-	return seen
-}
-
-// ReachableCount returns the number of vertices reachable from src,
-// including src.
-func (g *Graph) ReachableCount(src V) int {
-	seen := make([]bool, g.n)
-	return g.reachInto(src, seen, nil)
-}
-
-// ReachableCountBlocked returns the number of vertices reachable from src
-// when traversal may not enter vertices with blocked[v] set. If src itself is
-// blocked the count is 0. This is σ(s, G[V\B]) from the paper.
-func (g *Graph) ReachableCountBlocked(src V, blocked []bool) int {
-	if blocked != nil && blocked[src] {
-		return 0
-	}
-	seen := make([]bool, g.n)
-	return g.reachInto(src, seen, blocked)
-}
-
-// reachInto marks vertices reachable from src in seen, skipping blocked
-// vertices, and returns the count marked.
-func (g *Graph) reachInto(src V, seen, blocked []bool) int {
 	seen[src] = true
-	return 1 + g.drainCount(seen, []V{src}, blocked)
-}
-
-// drain expands the queue until empty, marking seen.
-func (g *Graph) drain(seen []bool, queue []V) {
-	g.drainCount(seen, queue, nil)
-}
-
-// drainCount expands the queue until empty and returns how many new vertices
-// were marked beyond those already in the queue.
-func (g *Graph) drainCount(seen []bool, queue []V, blocked []bool) int {
-	count := 0
+	queue := []V{src}
 	for len(queue) > 0 {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, v := range g.OutNeighbors(u) {
-			if seen[v] || (blocked != nil && blocked[v]) {
-				continue
-			}
-			seen[v] = true
-			count++
-			queue = append(queue, v)
-		}
-	}
-	return count
-}
-
-// DFSPostorder visits all vertices reachable from src in depth-first
-// postorder. It is iterative, so deep graphs cannot overflow the stack.
-func (g *Graph) DFSPostorder(src V, visit func(V)) {
-	seen := make([]bool, g.n)
-	type frame struct {
-		v   V
-		idx int
-	}
-	stack := []frame{{v: src}}
-	seen[src] = true
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		nbrs := g.OutNeighbors(top.v)
-		advanced := false
-		for top.idx < len(nbrs) {
-			w := nbrs[top.idx]
-			top.idx++
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, frame{v: w})
-				advanced = true
-				break
-			}
-		}
-		if !advanced && top.idx >= len(nbrs) {
-			visit(top.v)
-			stack = stack[:len(stack)-1]
-		}
-	}
-}
-
-// IsDAG reports whether the graph has no directed cycle.
-func (g *Graph) IsDAG() bool {
-	indeg := make([]int32, g.n)
-	for v := V(0); int(v) < g.n; v++ {
-		indeg[v] = int32(g.InDegree(v))
-	}
-	queue := make([]V, 0, g.n)
-	for v := V(0); int(v) < g.n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		processed++
-		for _, v := range g.OutNeighbors(u) {
-			indeg[v]--
-			if indeg[v] == 0 {
+			if !seen[v] {
+				seen[v] = true
 				queue = append(queue, v)
 			}
 		}
 	}
-	return processed == g.n
+	return seen
 }

@@ -73,19 +73,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// PaperScale returns the configuration matching the paper's full settings;
-// expect day-scale runtimes on the larger datasets, as the paper reports.
-func PaperScale() Config {
-	return Config{
-		Scale:      1,
-		Theta:      10000,
-		MCSRounds:  10000,
-		EvalRounds: 100000,
-		NumSeeds:   10,
-		Timeout:    24 * time.Hour,
-	}
-}
-
 // solveOptions converts the shared knobs into core.Options.
 func (c Config) solveOptions(diffusion core.Diffusion, seed uint64) core.Options {
 	return core.Options{

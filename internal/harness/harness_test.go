@@ -263,10 +263,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Scale != 0.02 || c.Theta != 1000 || c.NumSeeds != 10 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	p := PaperScale()
-	if p.Scale != 1 || p.Theta != 10000 || p.Timeout != 24*time.Hour {
-		t.Fatalf("paper scale wrong: %+v", p)
-	}
 }
 
 func TestSelectedSpecsErrors(t *testing.T) {

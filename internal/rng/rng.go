@@ -12,8 +12,6 @@
 // streams.
 package rng
 
-import "math"
-
 // Source is a deterministic xoshiro256** generator.
 type Source struct {
 	s0, s1, s2, s3 uint64
@@ -136,20 +134,6 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-// Dataset generators use it for noisy degree targets.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
 	}
 }
 

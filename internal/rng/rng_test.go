@@ -171,25 +171,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(13)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %v, want about 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance %v, want about 1", variance)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64
