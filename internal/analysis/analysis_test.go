@@ -209,9 +209,9 @@ func TestSCCDefinitionProperty(t *testing.T) {
 		g := b.Build()
 		scc := StronglyConnectedComponents(g)
 		for u := graph.V(0); int(u) < n; u++ {
-			ru := g.Reachable(u)
+			ru := reachable(g, u)
 			for v := graph.V(0); int(v) < n; v++ {
-				rv := g.Reachable(v)
+				rv := reachable(g, v)
 				mutual := ru[v] && rv[u]
 				same := scc.Comp[u] == scc.Comp[v]
 				if mutual != same {
@@ -225,6 +225,25 @@ func TestSCCDefinitionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reachable marks every vertex reachable from src over the full edge set,
+// src included.
+func reachable(g *graph.Graph, src graph.V) []bool {
+	seen := make([]bool, g.N())
+	seen[src] = true
+	stack := []graph.V{src}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range g.OutNeighbors(u) {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	return seen
 }
 
 func BenchmarkSCC(b *testing.B) {

@@ -45,35 +45,32 @@ func (b *estBackend) noteFlip(v graph.V) {
 	b.flips = append(b.flips, v)
 }
 
-// newEstBackend builds the configured backend for one cold solve run.
-func newEstBackend(in *instance, opt Options, base *rng.Source) *estBackend {
-	b := &estBackend{theta: opt.Theta, base: base}
-	sampler := in.sampler(opt.Diffusion)
-	if opt.ReuseSamples {
-		b.incr = NewIncrementalPooledEstimator(sampler, in.src, opt.Theta, opt.Workers, base.Split(^uint64(0)))
-		b.drawn = int64(opt.Theta)
-	} else {
-		b.fresh = NewEstimator(sampler, opt.Workers)
+// backend builds the estimator backend of an AdvancedGreedy or
+// GreedyReplace solve over the seed set's prepared state, nil for the
+// other algorithms, and returns the ReuseSamples pool it runs on, if any.
+// Every solve builds its backend here, a cold one on a throwaway session.
+// The fresh Estimator holds no per-run state (randomness enters only
+// through the base source split per round), and a ReuseSamples pool is
+// keyed by (Seed, Theta) with its maintained accumulator always equal to a
+// full re-scan's, so a warm backend selects exactly the blockers a cold
+// one would. Caller holds the session lock and has applied
+// opt.withDefaults and resolved opt.Workers.
+func (s *Session) backend(si *sessionInstance, alg Algorithm, opt Options) (*estBackend, *sessionPool) {
+	if alg != AdvancedGreedy && alg != GreedyReplace {
+		return nil, nil
 	}
-	return b
-}
-
-// newEstBackendCached wraps an already-built fresh Estimator (a Session's
-// warm one) as a backend for one run. The estimator holds no per-run state
-// — randomness enters only through the base source split per round — so a
-// run through a warm estimator selects exactly the blockers a cold run
-// with the same (Seed, Theta, Workers) would.
-func newEstBackendCached(est *Estimator, opt Options, base *rng.Source) *estBackend {
-	return &estBackend{fresh: est, theta: opt.Theta, base: base}
-}
-
-// newEstBackendWarmPool wraps a Session's warm incremental estimator: the
-// pool already exists, so the run draws zero new samples and the
-// accumulator state carried over from earlier runs keeps rounds O(θ_x·m̄).
-// Determinism still holds — the pool is keyed by (Seed, Theta) and the
-// maintained accumulator always equals a full re-scan's.
-func newEstBackendWarmPool(est *IncrementalPooledEstimator, opt Options, base *rng.Source) *estBackend {
-	return &estBackend{incr: est, theta: opt.Theta, base: base}
+	b := &estBackend{theta: opt.Theta, base: rng.New(opt.Seed)}
+	if !opt.ReuseSamples {
+		si.est.SetWorkers(opt.Workers)
+		b.fresh = si.est
+		return b, nil
+	}
+	sp, built := s.warmPool(si, opt)
+	b.incr = sp.est
+	if built {
+		b.drawn = int64(opt.Theta)
+	}
+	return b, sp
 }
 
 // decreaseES returns Δ[u] on G[V\B] for the given greedy round. The
@@ -85,11 +82,11 @@ func (b *estBackend) decreaseES(src graph.V, blocked []bool, round uint64) []flo
 	case b.incr != nil:
 		var vals []float64
 		if b.flipsKnown {
-			vals = b.incr.DecreaseESFlipsView(blocked, b.flips)
+			vals = b.incr.DecreaseESFlips(blocked, b.flips)
 		} else {
 			// First call of this run: a warm estimator may carry blocked
 			// state from an earlier run, so diff in full once.
-			vals = b.incr.DecreaseESView(blocked)
+			vals = b.incr.DecreaseES(blocked)
 		}
 		b.flips = b.flips[:0]
 		b.flipsKnown = true

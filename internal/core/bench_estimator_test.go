@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"github.com/imin-dev/imin/internal/datasets"
 	"github.com/imin-dev/imin/internal/graph"
@@ -17,10 +18,10 @@ import (
 //	             Algorithm 2).
 //	Pooled       draws the pool once, re-scans all θ stored samples per
 //	             round: the PooledEstimator test oracle.
-//	Incremental  draws the pool once, then re-processes only the samples
-//	             containing the vertex blocked in the previous round. Its
-//	             loop includes the round-0 priming scan, so the reported
-//	             ns/round is the honest cold-solve average.
+//	Incremental  draws the pool once, primes the estimator outside the
+//	             timed loop (reported as prime-ns), then re-processes only
+//	             the samples containing the vertices flipped since the
+//	             previous round: the warm-session steady state.
 //	FreshWikiVote is Fresh on the Wiki-Vote stand-in (7,115 vertices,
 //	             ~103k edges under trivalency): the serving graph's edge
 //	             count, but samples of ~168 vertices, 61% of them trees.
@@ -141,7 +142,7 @@ func benchFresh(b *testing.B, in *instance) {
 	traj := benchTrajectory(b, in, pool)
 	blocked := make([]bool, in.g.N())
 	base := rng.New(7)
-	est := newEstBackendCached(NewEstimator(in.sampler(DiffusionIC), 0), Options{Theta: estBenchTheta}, base)
+	est := &estBackend{fresh: NewEstimator(in.sampler(DiffusionIC), 0), theta: estBenchTheta, base: base}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		greedyRounds(in, est, traj, blocked)
@@ -181,17 +182,25 @@ func benchIncremental(b *testing.B, in *instance) {
 	pool := NewSamplePool(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7))
 	traj := benchTrajectory(b, in, pool)
 	blocked := make([]bool, in.g.N())
-	// One persistent estimator, like a warm session: the first iteration
-	// pays the priming scan, every later iteration's round 0 diffs away the
-	// previous iteration's blockers — the repeated-solve pattern the
-	// serving layer runs. Priming amortizes out over b.N.
+	// One persistent estimator, like a warm session: every iteration's
+	// round 0 diffs away the previous iteration's blockers — the
+	// repeated-solve pattern the serving layer runs. The priming scan and
+	// one pass that leaves such blockers behind run before the timer
+	// starts, so every timed iteration does the same work and ns/round
+	// does not depend on b.N.
 	incr := NewIncrementalPooledEstimatorFromPool(pool, 0)
 	est := &estBackend{incr: incr, theta: estBenchTheta}
+	t0 := time.Now()
+	est.decreaseES(in.src, blocked, 0)
+	primeNs := time.Since(t0)
+	greedyRounds(in, est, traj, blocked)
+	st0 := incr.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		greedyRounds(in, est, traj, blocked)
 	}
 	reportPerRound(b)
+	b.ReportMetric(float64(primeNs.Nanoseconds()), "prime-ns")
 	st := incr.Stats()
-	b.ReportMetric(float64(st.SamplesReprocessed)/float64(st.Rounds), "dirty-samples/round")
+	b.ReportMetric(float64(st.SamplesReprocessed-st0.SamplesReprocessed)/float64(st.Rounds-st0.Rounds), "dirty-samples/round")
 }

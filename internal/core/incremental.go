@@ -3,16 +3,14 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/imin-dev/imin/internal/cascade"
 	"github.com/imin-dev/imin/internal/graph"
-	"github.com/imin-dev/imin/internal/rng"
 )
 
 // IncrementalPooledEstimator is the sample-reuse variant of Algorithm 2
-// (Options.ReuseSamples): it draws the θ live-edge samples once into a
-// SamplePool and answers every DecreaseES call — one per greedy round —
+// (Options.ReuseSamples): it wraps a SamplePool of θ live-edge samples,
+// drawn once, and answers every DecreaseES call — one per greedy round —
 // from that pool with the current blocker set filtered out. Filtering a
 // live-edge sample of G by removing B yields a live-edge sample of G[V\B],
 // so each round stays unbiased; rounds share randomness (common random
@@ -121,10 +119,9 @@ type incShard struct {
 	touched []graph.V            // vertices whose acc changed this round
 	batch   []int32              // this round's owned dirty batch (aliases batchBuf)
 
-	// Work counters, written only by this shard's worker goroutine.
-	processed int64 // dirty samples this worker recomputed (own + stolen)
-	stolen    int64 // subset claimed from other shards' batches
-	procNs    int64 // cumulative ns in the parallel dirty-processing phase
+	// stolen counts the dirty samples this worker claimed from other
+	// shards' batches; only this shard's worker goroutine writes it.
+	stolen int64
 
 	// cur is the claim cursor into batch: every worker that takes a chunk
 	// (the owner included) bumps it. It is the one word of this struct that
@@ -146,15 +143,10 @@ func (sh *incShard) add(v graph.V, d int64) {
 	sh.acc[v] += d
 }
 
-// NewIncrementalPooledEstimator draws theta samples into a fresh pool and
-// wraps it. workers <= 0 selects GOMAXPROCS.
-func NewIncrementalPooledEstimator(sampler cascade.LiveSampler, src graph.V, theta, workers int, base *rng.Source) *IncrementalPooledEstimator {
-	return NewIncrementalPooledEstimatorFromPool(NewSamplePool(sampler, src, theta, workers, base), workers)
-}
-
 // NewIncrementalPooledEstimatorFromPool wraps an existing (possibly shared)
-// pool. The estimator's first DecreaseES call processes every sample to
-// prime the accumulators; later calls are incremental.
+// pool, such as one NewSamplePool draws. workers <= 0 selects GOMAXPROCS.
+// The estimator's first DecreaseES call processes every sample to prime
+// the accumulators; later calls are incremental.
 func NewIncrementalPooledEstimatorFromPool(pool *SamplePool, workers int) *IncrementalPooledEstimator {
 	n := pool.g.N()
 	tv := pool.vertStart[pool.Theta()]
@@ -170,9 +162,6 @@ func NewIncrementalPooledEstimatorFromPool(pool *SamplePool, workers int) *Incre
 	e.reshard(workers)
 	return e
 }
-
-// Theta returns the stored sample count.
-func (e *IncrementalPooledEstimator) Theta() int { return e.pool.Theta() }
 
 // Pool returns the backing sample pool.
 func (e *IncrementalPooledEstimator) Pool() *SamplePool { return e.pool }
@@ -248,14 +237,16 @@ func (e *IncrementalPooledEstimator) reshard(workers int) {
 }
 
 // DecreaseES estimates Δ[u] on G[V\B] for every vertex from the stored
-// pool, writing into dst (length ≥ n). Output is bit-identical to a full
-// re-scan of the same pool; only samples containing a
-// vertex whose blocked state changed since the previous call are
-// re-processed. The changed vertices are found by diffing blocked against
-// the previous call's set; callers that track their own mutations can hand
-// them over through DecreaseESFlips and skip the O(n) diff.
-func (e *IncrementalPooledEstimator) DecreaseES(dst []float64, blocked []bool) {
-	copy(dst[:e.pool.g.N()], e.decreaseES(blocked, nil, false))
+// pool. Output is bit-identical to a full re-scan of the same pool; only
+// samples containing a vertex whose blocked state changed since the
+// previous call are re-processed. The changed vertices are found by
+// diffing blocked against the previous call's set; callers that track
+// their own mutations can hand them over through DecreaseESFlips and skip
+// the O(n) diff. The returned slice is the estimator's maintained Δ
+// vector, read-only and valid until the next call: the greedy argmax scans
+// read it in place, so a round pays no O(n) copy.
+func (e *IncrementalPooledEstimator) DecreaseES(blocked []bool) []float64 {
+	return e.decreaseES(blocked, nil, false)
 }
 
 // DecreaseESFlips is DecreaseES with the exact set of vertices whose
@@ -264,21 +255,7 @@ func (e *IncrementalPooledEstimator) DecreaseES(dst []float64, blocked []bool) {
 // duplicates; a vertex flipped twice (net no-op) only costs wasted
 // reprocessing. An incomplete flips list silently corrupts the cache, so
 // callers must report every mutation. Ignored (full scan) before priming.
-func (e *IncrementalPooledEstimator) DecreaseESFlips(dst []float64, blocked []bool, flips []graph.V) {
-	copy(dst[:e.pool.g.N()], e.decreaseES(blocked, flips, true))
-}
-
-// DecreaseESView is DecreaseES without the O(n) copy: the returned slice
-// is the estimator's maintained Δ vector, valid (and read-only) until the
-// next DecreaseES* call. The greedy argmax scans read it in place, which
-// removes the last per-round O(n) term from the ReuseSamples fast path.
-func (e *IncrementalPooledEstimator) DecreaseESView(blocked []bool) []float64 {
-	return e.decreaseES(blocked, nil, false)
-}
-
-// DecreaseESFlipsView is DecreaseESFlips without the O(n) copy; see
-// DecreaseESView for the aliasing contract.
-func (e *IncrementalPooledEstimator) DecreaseESFlipsView(blocked []bool, flips []graph.V) []float64 {
+func (e *IncrementalPooledEstimator) DecreaseESFlips(blocked []bool, flips []graph.V) []float64 {
 	return e.decreaseES(blocked, flips, true)
 }
 
@@ -405,13 +382,7 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 		wg.Wait()
 	} else {
 		for _, sh := range e.shards {
-			if len(sh.batch) == 0 {
-				continue
-			}
-			t0 := time.Now()
 			e.processInto(sh, sh.batch, blocked)
-			sh.processed += int64(len(sh.batch))
-			sh.procNs += time.Since(t0).Nanoseconds()
 		}
 	}
 
@@ -511,7 +482,6 @@ func sumAcc(shards []*incShard, v graph.V) int64 {
 // is claimed.
 func (e *IncrementalPooledEstimator) runWorker(w int, blocked []bool) {
 	me := e.shards[w]
-	t0 := time.Now()
 	e.drain(me, me, blocked, false)
 	for {
 		var victim *incShard
@@ -529,7 +499,6 @@ func (e *IncrementalPooledEstimator) runWorker(w int, blocked []bool) {
 		}
 		e.drain(victim, me, blocked, true)
 	}
-	me.procNs += time.Since(t0).Nanoseconds()
 }
 
 // drain claims chunks of from's batch through its cursor and processes
@@ -546,7 +515,6 @@ func (e *IncrementalPooledEstimator) drain(from, to *incShard, blocked []bool, s
 			hi = n
 		}
 		e.processInto(to, from.batch[lo:hi], blocked)
-		to.processed += hi - lo
 		if steal {
 			to.stolen += hi - lo
 		}
@@ -660,29 +628,6 @@ func (e *IncrementalPooledEstimator) Stats() IncrementalStats {
 		st.SamplesStolen += sh.stolen
 	}
 	return st
-}
-
-// ShardProfile is one worker shard's work counters since the last reshard,
-// for the benchcore contention profile.
-type ShardProfile struct {
-	// Lo, Hi is the shard's owned sample range [Lo, Hi).
-	Lo, Hi int
-	// Processed counts dirty samples this worker recomputed (own and
-	// stolen); Stolen is the subset claimed from other shards' batches.
-	Processed, Stolen int64
-	// Ns is the worker's cumulative wall-clock nanoseconds in the parallel
-	// dirty-processing phase.
-	Ns int64
-}
-
-// ShardProfiles snapshots the per-worker counters. Call between DecreaseES
-// calls; a reshard resets the profiles (steal totals survive in Stats).
-func (e *IncrementalPooledEstimator) ShardProfiles() []ShardProfile {
-	out := make([]ShardProfile, len(e.shards))
-	for s, sh := range e.shards {
-		out[s] = ShardProfile{Lo: sh.lo, Hi: sh.hi, Processed: sh.processed, Stolen: sh.stolen, Ns: sh.procNs}
-	}
-	return out
 }
 
 // MemoryBytes reports the pool plus the estimator's own resident footprint:

@@ -126,7 +126,7 @@ func TestIncrementalMatchesPooledBitIdentical(t *testing.T) {
 		var trajectory []graph.V
 		for round := 0; round < 12; round++ {
 			pooled.DecreaseES(dP, blocked)
-			incr.DecreaseES(dI, blocked)
+			copy(dI, incr.DecreaseES(blocked))
 			for v := range dP {
 				if dP[v] != dI[v] { // exact float equality, deliberately
 					t.Fatalf("seed=%d round=%d v=%d: pooled %v != incremental %v",
@@ -244,16 +244,17 @@ func TestEstimatorsCrossValidateBlockerSets(t *testing.T) {
 func fullDiffBlockers(t *testing.T, g *graph.Graph, b int, alg Algorithm, opt Options) []graph.V {
 	t.Helper()
 	opt = opt.withDefaults()
-	in, err := newInstance(g, []graph.V{0})
+	sess := NewSession(g, opt.Diffusion, opt.Workers)
+	si, _, err := sess.prepare([]graph.V{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := newEstBackend(in, opt, rng.New(opt.Seed))
+	back, _ := sess.backend(si, alg, opt)
 	opt.OnRound = func(RoundInfo) { back.flipsKnown = false }
 	if alg == AdvancedGreedy {
-		return solveAdvancedGreedy(stopper{}, in, back, b, opt).Blockers
+		return solveAdvancedGreedy(stopper{}, si.in, back, b, opt).Blockers
 	}
-	return solveGreedyReplace(stopper{}, in, back, b, opt).Blockers
+	return solveGreedyReplace(stopper{}, si.in, back, b, opt).Blockers
 }
 
 // fanEdges adds u→v for every v in [lo, hi], live with probability p.
@@ -305,9 +306,9 @@ func keepGraph() *graph.Graph {
 // the paper's worked example, mirroring TestPooledEstimatorMatchesExample2.
 func TestIncrementalEstimatorMatchesExample2(t *testing.T) {
 	g := fixture.Toy()
-	e := NewIncrementalPooledEstimator(cascade.NewIC(g), fixture.Seed, 200000, 4, rng.New(1))
+	e := NewIncrementalPooledEstimatorFromPool(NewSamplePool(cascade.NewIC(g), fixture.Seed, 200000, 4, rng.New(1)), 4)
 	delta := make([]float64, g.N())
-	e.DecreaseES(delta, nil)
+	copy(delta, e.DecreaseES(nil))
 	want := fixture.Delta()
 	for v := range want {
 		if math.Abs(delta[v]-want[v]) > 0.02 {

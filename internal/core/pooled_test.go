@@ -187,7 +187,7 @@ func TestPoolMemoryBytesAccountsEverything(t *testing.T) {
 	before := est.MemoryBytes()
 	blocked := make([]bool, g.N())
 	dst := make([]float64, g.N())
-	est.DecreaseES(dst, blocked)
+	copy(dst, est.DecreaseES(blocked))
 	if after := est.MemoryBytes(); after <= before {
 		t.Errorf("estimator MemoryBytes did not grow after priming (%d -> %d); worker scratch unaccounted", before, after)
 	}

@@ -148,7 +148,7 @@ func TestIncrementalRepairMatchesRebuild(t *testing.T) {
 			blocked := make([]bool, n)
 			dst := make([]float64, n)
 			for round := 0; round < 3; round++ {
-				est.DecreaseES(dst, blocked)
+				copy(dst, est.DecreaseES(blocked))
 				best := graph.V(1 + (round*7)%(n-1))
 				blocked[best] = true
 			}
@@ -167,8 +167,8 @@ func TestIncrementalRepairMatchesRebuild(t *testing.T) {
 			ref := NewIncrementalPooledEstimatorFromPool(freshPool, 3)
 			refDst := make([]float64, n)
 			for round := 0; round < 4; round++ {
-				est.DecreaseES(dst, blocked)
-				ref.DecreaseES(refDst, blocked)
+				copy(dst, est.DecreaseES(blocked))
+				copy(refDst, ref.DecreaseES(blocked))
 				for v := range dst {
 					if dst[v] != refDst[v] { // exact float equality, deliberately
 						t.Fatalf("seed=%d w=%d round=%d v=%d: repaired %v != rebuilt %v",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
@@ -244,8 +245,8 @@ func (s *Session) warmPool(si *sessionInstance, opt Options) (sp *sessionPool, b
 			return c, false
 		}
 	}
-	base := rng.New(opt.Seed)
-	est := NewIncrementalPooledEstimator(si.est.Sampler(), si.in.src, opt.Theta, opt.Workers, base.Split(^uint64(0)))
+	pool := NewSamplePool(si.est.Sampler(), si.in.src, opt.Theta, opt.Workers, rng.New(opt.Seed).Split(^uint64(0)))
+	est := NewIncrementalPooledEstimatorFromPool(pool, opt.Workers)
 	sp = &sessionPool{seed: opt.Seed, theta: opt.Theta, est: est, used: s.tick, bytes: est.MemoryBytes()}
 	if len(si.pools) < maxSessionPools {
 		si.pools = append(si.pools, sp)
@@ -447,8 +448,13 @@ func (h *LockedSession) Prepare(seeds []graph.V) (built bool, err error) {
 	return built, err
 }
 
-// Solve is Session.Solve on an already-acquired session.
+// Solve is Session.Solve on an already-acquired session, and the one
+// place a solve is dispatched: SolveContext runs it on a throwaway
+// session. Result.Runtime and Options.Timeout count from after the seed
+// set's instance and ReuseSamples pool are in hand, cached or built.
 func (h *LockedSession) Solve(ctx context.Context, seeds []graph.V, b int, alg Algorithm, opt Options) (Result, error) {
+	// Reject a negative budget before prepare: the multi-seed reduction
+	// copies the whole graph, which bad input should not pay for.
 	if b < 0 {
 		return Result{}, fmt.Errorf("core: negative budget %d", b)
 	}
@@ -463,18 +469,29 @@ func (h *LockedSession) Solve(ctx context.Context, seeds []graph.V, b int, alg A
 	if opt.Workers == 0 {
 		opt.Workers = s.workers
 	}
-	si.est.SetWorkers(opt.Workers)
-	warm := warmState{fresh: si.est}
-	var sp *sessionPool
-	if opt.ReuseSamples && (alg == AdvancedGreedy || alg == GreedyReplace) {
-		sp, warm.poolBuilt = s.warmPool(si, opt)
-		warm.incr = sp.est
+	est, sp := s.backend(si, alg, opt)
+	start := time.Now()
+	halt := stopper{ctx: ctx, dl: opt.deadline(start)}
+	var res Result
+	switch alg {
+	case Rand:
+		res = solveRand(si.in, b, opt)
+	case OutDegree:
+		res = solveOutDegree(si.in, b, opt)
+	case BaselineGreedy:
+		res = solveBaselineGreedy(halt, si.in, b, opt)
+	case AdvancedGreedy:
+		res = solveAdvancedGreedy(halt, si.in, est, b, opt)
+	case GreedyReplace:
+		res = solveGreedyReplace(halt, si.in, est, b, opt)
+	default:
+		return Result{}, fmt.Errorf("core: unknown algorithm %q", alg)
 	}
-	res, err := solveInstance(ctx, si.in, warm, b, alg, opt)
+	res.Runtime = time.Since(start)
 	if sp != nil {
 		s.refreshPoolBytes(sp)
 	}
-	return res, err
+	return res, nil
 }
 
 // EvaluateSpread is EvaluateSpreadContext without cancellation, for

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -16,40 +17,67 @@ func sessionTestGraph(n int) *graph.Graph {
 	return graph.Trivalency.Assign(g, rng.New(12))
 }
 
-// A warm Session must select exactly the blockers a cold Solve picks for
-// the same (Seed, Theta, Workers, Diffusion) — the cached
-// estimator carries no per-run state.
+// A cold Solve runs on a throwaway session, so what this test guards is
+// what a reused session carries from one call to the next: prepared
+// instances, the fresh estimator re-fanned by SetWorkers, cached
+// ReuseSamples pools whose estimator still reflects the previous run's
+// blockers (prevBlocked), and the full diff on a run's first round. Every
+// algorithm, under IC and LT, fresh and ReuseSamples, at workers 0, 1 and
+// 4, runs twice on one session per model — seed sets, pool keys and
+// algorithms interleaved between calls — and each Result must equal a cold
+// Solve's in everything but Runtime. SampledGraphs is the one expected
+// difference: a warm call that reuses its pool drew nothing.
 func TestSessionMatchesSolve(t *testing.T) {
-	g := sessionTestGraph(400)
-	seeds := []graph.V{1, 5, 9}
-	opt := Options{Theta: 200, Seed: 7, Workers: 2}
-	sess := NewSession(g, DiffusionIC, 2)
-
-	for _, alg := range []Algorithm{AdvancedGreedy, GreedyReplace, OutDegree, Rand} {
-		direct, err := Solve(g, seeds, 6, alg, opt)
-		if err != nil {
-			t.Fatalf("%s: direct solve: %v", alg, err)
-		}
-		for call := 0; call < 2; call++ {
-			res, err := sess.Solve(context.Background(), seeds, 6, alg, opt)
-			if err != nil {
-				t.Fatalf("%s: session solve %d: %v", alg, call, err)
+	g := sessionTestGraph(300)
+	seedSets := [][]graph.V{{3}, {1, 5, 9}, {2, 40, 7, 11}}
+	algs := []Algorithm{AdvancedGreedy, BaselineGreedy, GreedyReplace, Rand, OutDegree}
+	ctx := context.Background()
+	for _, d := range []Diffusion{DiffusionIC, DiffusionLT} {
+		model := [...]string{DiffusionIC: "IC", DiffusionLT: "LT"}[d]
+		sess := NewSession(g, d, 0)
+		var cold []Result
+		call := 0
+		for pass := 0; pass < 2; pass++ {
+			for _, workers := range []int{0, 1, 4} {
+				for _, reuse := range []bool{false, true} {
+					for _, alg := range algs {
+						seeds := seedSets[call%len(seedSets)]
+						opt := Options{Theta: 150, MCSRounds: 6, Seed: uint64(7 + call/len(seedSets)%2),
+							Workers: workers, Diffusion: d, ReuseSamples: reuse}
+						name := fmt.Sprintf("%s pass %d %s workers=%d reuse=%v seeds=%v", model, pass, alg, workers, reuse, seeds)
+						if pass == 0 {
+							res, err := Solve(g, seeds, 4, alg, opt)
+							if err != nil {
+								t.Fatalf("%s: cold solve: %v", name, err)
+							}
+							res.Runtime = 0
+							cold = append(cold, res)
+						}
+						want := cold[call%len(cold)]
+						_, builds0, _ := sess.PoolStats()
+						got, err := sess.Solve(ctx, seeds, 4, alg, opt)
+						if err != nil {
+							t.Fatalf("%s: session solve: %v", name, err)
+						}
+						got.Runtime = 0
+						if _, builds1, _ := sess.PoolStats(); reuse && builds1 == builds0 {
+							want.SampledGraphs = 0
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: session %+v != cold %+v", name, got, want)
+						}
+						call++
+					}
+				}
 			}
-			if !reflect.DeepEqual(res.Blockers, direct.Blockers) {
-				t.Fatalf("%s call %d: session blockers %v != direct %v", alg, call, res.Blockers, direct.Blockers)
-			}
 		}
-	}
-
-	st := sess.Stats()
-	if st.Rebuilds != 1 {
-		t.Errorf("rebuilds = %d, want 1 (same seed set throughout)", st.Rebuilds)
-	}
-	if st.Reuses < 7 {
-		t.Errorf("reuses = %d, want >= 7", st.Reuses)
-	}
-	if st.Solves != 8 {
-		t.Errorf("solves = %d, want 8", st.Solves)
+		st := sess.Stats()
+		if st.Rebuilds != int64(len(seedSets)) {
+			t.Errorf("%s: rebuilds = %d, want %d (one per seed set)", model, st.Rebuilds, len(seedSets))
+		}
+		if st.Solves != int64(call) {
+			t.Errorf("%s: solves = %d, want %d", model, st.Solves, call)
+		}
 	}
 }
 

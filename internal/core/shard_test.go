@@ -115,7 +115,7 @@ func TestWorkersExceedTheta(t *testing.T) {
 	dI := make([]float64, n)
 	dP := make([]float64, n)
 	for round := 0; round < 4; round++ {
-		incr.DecreaseES(dI, blocked)
+		copy(dI, incr.DecreaseES(blocked))
 		pooled.DecreaseES(dP, blocked)
 		if !reflect.DeepEqual(dI, dP) {
 			t.Fatalf("round %d: incremental != pooled under θ < workers", round)
@@ -149,7 +149,7 @@ func TestParallelDecreaseESFlipsMatchesPooled(t *testing.T) {
 	dirtyBefore := int64(0)
 	sawParallelRound := false
 	for round := 0; round < 16; round++ {
-		incr.DecreaseESFlips(dI, blocked, flips)
+		copy(dI, incr.DecreaseESFlips(blocked, flips))
 		st := incr.Stats()
 		if st.SamplesReprocessed-dirtyBefore > smallRoundInline {
 			sawParallelRound = true
@@ -199,7 +199,7 @@ func TestSetWorkersMidTrajectory(t *testing.T) {
 	schedule := []int{1, 4, 4, 2, 8, 1, 3}
 	for round, workers := range schedule {
 		incr.SetWorkers(workers)
-		incr.DecreaseES(dI, blocked)
+		copy(dI, incr.DecreaseES(blocked))
 		pooled.DecreaseES(dP, blocked)
 		if !reflect.DeepEqual(dI, dP) {
 			t.Fatalf("round %d (workers=%d): incremental != pooled after reshard", round, workers)

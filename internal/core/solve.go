@@ -210,74 +210,12 @@ func Solve(g *graph.Graph, seeds []graph.V, b int, alg Algorithm, opt Options) (
 // candidate evaluation) and the partial selection is returned with
 // Result.Canceled set, exactly like an Options.Timeout expiry sets
 // Result.TimedOut. No error is returned for cancellation, so long-running
-// services can still use the partial blocker set.
+// services can still use the partial blocker set. It runs on a throwaway
+// Session, so a cold solve takes the warm path with an empty cache; no one
+// else holds that session, so even an already-canceled ctx acquires it and
+// comes back as a partial Result, never as ctx.Err().
 func SolveContext(ctx context.Context, g *graph.Graph, seeds []graph.V, b int, alg Algorithm, opt Options) (Result, error) {
-	// Validate before newInstance: the multi-seed reduction copies the
-	// whole graph, which bad input should not pay for.
-	if b < 0 {
-		return Result{}, fmt.Errorf("core: negative budget %d", b)
-	}
-	in, err := newInstance(g, seeds)
-	if err != nil {
-		return Result{}, err
-	}
-	return solveInstance(ctx, in, warmState{}, b, alg, opt)
-}
-
-// warmState carries a Session's cached estimator state into solveInstance.
-// The zero value means a cold run: everything is built from scratch.
-type warmState struct {
-	// fresh is a warm Algorithm 2 estimator over the instance's sampler,
-	// reused instead of allocating fresh worker scratch. Ignored by
-	// ReuseSamples runs and by algorithms that do not use the estimator.
-	fresh *Estimator
-	// incr is a warm pool-backed incremental estimator whose pool matches
-	// (Options.Seed, Options.Theta); ReuseSamples runs use it instead of
-	// drawing a new pool. poolBuilt records whether the session had to draw
-	// the pool for this very call, for the SampledGraphs cost accounting.
-	incr      *IncrementalPooledEstimator
-	poolBuilt bool
-}
-
-// solveInstance dispatches a prepared instance to the chosen algorithm.
-// Callers (SolveContext, Session.Solve) have already rejected negative
-// budgets — before paying for instance preparation.
-func solveInstance(ctx context.Context, in *instance, warm warmState, b int, alg Algorithm, opt Options) (Result, error) {
-	opt = opt.withDefaults()
-	start := time.Now()
-	halt := stopper{ctx: ctx, dl: opt.deadline(start)}
-	var res Result
-	switch alg {
-	case Rand:
-		res = solveRand(in, b, opt)
-	case OutDegree:
-		res = solveOutDegree(in, b, opt)
-	case BaselineGreedy:
-		res = solveBaselineGreedy(halt, in, b, opt)
-	case AdvancedGreedy, GreedyReplace:
-		base := rng.New(opt.Seed)
-		var est *estBackend
-		switch {
-		case opt.ReuseSamples && warm.incr != nil:
-			est = newEstBackendWarmPool(warm.incr, opt, base)
-			if warm.poolBuilt {
-				est.drawn = int64(opt.Theta)
-			}
-		case !opt.ReuseSamples && warm.fresh != nil:
-			est = newEstBackendCached(warm.fresh, opt, base)
-		default:
-			est = newEstBackend(in, opt, base)
-		}
-		if alg == AdvancedGreedy {
-			res = solveAdvancedGreedy(halt, in, est, b, opt)
-		} else {
-			res = solveGreedyReplace(halt, in, est, b, opt)
-		}
-	default:
-		return Result{}, fmt.Errorf("core: unknown algorithm %q", alg)
-	}
-	res.Runtime = time.Since(start)
-	return res, nil
+	return NewSession(g, opt.Diffusion, opt.Workers).Solve(ctx, seeds, b, alg, opt)
 }
 
 // EvaluateSpread estimates the expected spread E(S, G[V\B]) of a blocker

@@ -177,53 +177,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g := toy()
-	seen := g.Reachable(0)
-	for v := 0; v < 9; v++ {
-		if !seen[v] {
-			t.Errorf("v%d not reachable from seed", v+1)
-		}
-	}
-	// From v8 (id 7) only v8 and v7 (id 6) are reachable.
-	seen = g.Reachable(7)
-	wantCount := 0
-	for v, ok := range seen {
-		if ok {
-			wantCount++
-			if v != 7 && v != 6 {
-				t.Errorf("unexpected vertex %d reachable from v8", v)
-			}
-		}
-	}
-	if wantCount != 2 {
-		t.Errorf("reach(v8) = %d vertices, want 2", wantCount)
-	}
-}
-
-func TestBFSOrder(t *testing.T) {
-	g := toy()
-	var order []V
-	g.BFS(0, func(v V) { order = append(order, v) })
-	if len(order) != 9 {
-		t.Fatalf("BFS visited %d vertices, want 9", len(order))
-	}
-	if order[0] != 0 {
-		t.Fatalf("BFS did not start at source")
-	}
-	pos := make(map[V]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	// v5 (id 4) must come after v2 (1) and v4 (3); v7 (6) last-ish after v8 (7).
-	if pos[4] < pos[1] || pos[4] < pos[3] {
-		t.Error("BFS order violates layering for v5")
-	}
-	if pos[6] < pos[7] {
-		t.Error("BFS order violates layering for v7")
-	}
-}
-
 func TestReverse(t *testing.T) {
 	g := toy()
 	r := g.Reverse()

@@ -249,7 +249,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	// replayed by every mode so the measurement isolates DecreaseES.
 	n := unified.N()
 	blocked := make([]bool, n)
-	delta := make([]float64, n)
 	recorder := core.NewIncrementalPooledEstimatorFromPool(pool, cfg.Workers)
 	pickBest := func(delta []float64) graph.V {
 		best := graph.V(-1)
@@ -265,8 +264,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	}
 	traj := make([]graph.V, 0, benchBudget)
 	for round := 0; round < benchBudget; round++ {
-		recorder.DecreaseES(delta, blocked)
-		best := pickBest(delta)
+		best := pickBest(recorder.DecreaseES(blocked))
 		if best == -1 {
 			return nil, fmt.Errorf("benchcore: ran out of candidates at round %d", round)
 		}
@@ -276,6 +274,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	clear(blocked)
 
 	// Fresh: θ new samples every round.
+	delta := make([]float64, n)
 	fresh := core.NewEstimator(sampler, cfg.Workers)
 	base := rng.New(cfg.Seed)
 	round := uint64(0)
@@ -294,12 +293,9 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	rep.add("fresh.dirty_samples_per_round", float64(cfg.Theta), "samples", ClassInfo)
 
 	// Incremental: persistent estimator per sweep point, flips reported,
-	// priming included in the first run and amortized like a warm session
-	// would. The measurement goes through the zero-copy view API — the
-	// path the greedy loops run — so it excludes the O(n) dst fill that
-	// only the compatibility wrappers pay. Before timing a point, one
-	// greedy selection re-derives the trajectory at that worker count and
-	// is checked against the recorded trajectory — the
+	// as the greedy loops run it. Before timing a point, one greedy
+	// selection primes the estimator and re-derives the trajectory at that
+	// worker count, checked against the recorded trajectory — the
 	// bit-identical-blockers guarantee, exercised at serving size.
 	blockersIdentical := true
 	measureIncremental := func(workers int) (incr *core.IncrementalPooledEstimator, nsPerRound, bytesPerRound, dirtyPerRound float64, err error) {
@@ -307,9 +303,8 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		reTraj := make([]graph.V, 0, benchBudget)
 		flips := make([]graph.V, 0, benchBudget)
 		for range traj {
-			vals := incr.DecreaseESFlipsView(blocked, flips)
+			best := pickBest(incr.DecreaseESFlips(blocked, flips))
 			flips = flips[:0]
-			best := pickBest(vals)
 			if best == -1 {
 				return nil, 0, 0, 0, fmt.Errorf("benchcore: sweep at workers=%d ran out of candidates", workers)
 			}
@@ -327,7 +322,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		st0 := incr.Stats()
 		ns, by, runs := timeRuns(opt.MinTime, func() {
 			for _, v := range traj {
-				incr.DecreaseESFlipsView(blocked, flips)
+				incr.DecreaseESFlips(blocked, flips)
 				flips = flips[:0]
 				blocked[v] = true
 				flips = append(flips, v)
@@ -350,17 +345,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	rep.add("incremental.samples_per_sec", dirty/incrNs*1e9, "samples/s", ClassInfo)
 	rep.add("incremental.bytes_per_round", by, "bytes", ClassInfo)
 	rep.add("incremental.dirty_samples_per_round", dirty, "samples", ClassInfo)
-	// The contention profile: each worker shard's share of the headline
-	// measurement. Balanced processed counts with zero stolen mean the
-	// static θ-range partition alone kept the workers busy.
-	for s, pr := range incr.ShardProfiles() {
-		name := fmt.Sprintf("contention_profile[shard_%d].", s)
-		rep.add(name+"lo", float64(pr.Lo), "index", ClassInfo)
-		rep.add(name+"hi", float64(pr.Hi), "index", ClassInfo)
-		rep.add(name+"processed", float64(pr.Processed), "samples", ClassInfo)
-		rep.add(name+"stolen", float64(pr.Stolen), "samples", ClassInfo)
-		rep.add(name+"ns", float64(pr.Ns), "ns", ClassInfo)
-	}
 	rep.add("samples_stolen", float64(incr.Stats().SamplesStolen), "samples", ClassInfo)
 
 	var oneWorkerNs, speedup4W float64
@@ -446,11 +430,11 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		dirtySamples := 0
 		for elapsed < opt.MinTime {
 			warm := core.NewIncrementalPooledEstimatorFromPool(pool, cfg.Workers)
-			warm.DecreaseESView(nil) // priming, untimed: the session did this pre-mutation
+			warm.DecreaseES(nil) // priming, untimed: the session did this pre-mutation
 			t0 := time.Now()
 			repaired, dirtyIDs := pool.Repair(newSampler, info.ChangedSources, cfg.Workers)
 			warm.RepairPool(repaired, dirtyIDs)
-			repairVals = append(repairVals[:0], warm.DecreaseESView(nil)...)
+			repairVals = append(repairVals[:0], warm.DecreaseES(nil)...)
 			elapsed += time.Since(t0)
 			iters++
 			dirtySamples = len(dirtyIDs)
@@ -460,7 +444,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		rebuildNs, _, _ := timeRuns(opt.MinTime, func() {
 			rebuilt := core.NewSamplePool(newSampler, super, cfg.Theta, cfg.Workers, rng.New(cfg.Seed).Split(^uint64(0)))
 			cold := core.NewIncrementalPooledEstimatorFromPool(rebuilt, cfg.Workers)
-			rebuildVals = append(rebuildVals[:0], cold.DecreaseESView(nil)...)
+			rebuildVals = append(rebuildVals[:0], cold.DecreaseES(nil)...)
 		})
 
 		name := fmt.Sprintf("mutate_repair[%d_edges].", k)
