@@ -30,8 +30,8 @@ lint-fix:
 	gofmt -w .
 
 # fuzz runs every fuzz target for FUZZTIME each: the WAL decoders, the
-# graph loaders, seed unification, the dominator tree and the sample
-# kernel. CI's crash-recovery job runs it at the default.
+# graph loaders, seed unification, the seed view, the dominator tree and
+# the sample kernel. CI's crash-recovery job runs it at the default.
 FUZZTIME ?= 20s
 
 fuzz:
@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnifySeeds$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzDominatorTree$$' -fuzztime $(FUZZTIME) ./internal/dominator
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleKernel$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSeedView$$' -fuzztime $(FUZZTIME) ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -1,7 +1,7 @@
 // Command imind is the influence-minimization daemon: it keeps registered
 // graphs and warm solver sessions in memory and serves blocking requests
 // over HTTP/JSON, so repeated solves on a hot graph skip all setup cost
-// (graph load, multi-seed unification, sampler and estimator scratch).
+// (graph load, seed-set instances, sampler and estimator scratch).
 //
 // With -data-dir it is also durable: registrations and mutation batches
 // are write-ahead logged (fsync policy per -fsync) and periodically

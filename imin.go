@@ -151,9 +151,10 @@ func MinimizeContext(ctx context.Context, g *Graph, seeds []Vertex, b int, alg A
 	return core.SolveContext(ctx, g, seeds, b, alg, opt)
 }
 
-// Session keeps per-graph solver state (the multi-seed unified instance,
-// the live-edge sampler, and the estimator's worker scratch) warm across
-// Minimize calls, so repeated solves on one graph skip all setup cost.
+// Session keeps per-graph solver state (each seed set's instance, a seed
+// view of the graph, the live-edge sampler, and the estimator's worker
+// scratch) warm across Minimize calls, so repeated solves on one graph
+// skip all setup cost.
 // Construct with NewSession; methods are safe for concurrent use but
 // serialize internally. See core.Session for details.
 type Session = core.Session

@@ -244,7 +244,7 @@ func TestEstimateSpreadParallelReusesScratch(t *testing.T) {
 			want := EstimateSpreadParallel(s, fixture.Seed, nil, 3000, workers, rng.New(11), nil)
 			if got := EstimateSpreadParallel(s, fixture.Seed, nil, 3000, workers, rng.New(11), &scratch); got != want {
 				t.Fatalf("workers %d, %T over %d vertices: %v with kept workspaces, %v without",
-					workers, s, s.Graph().N(), got, want)
+					workers, s, s.N(), got, want)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package cascade
 
 import (
+	"slices"
+
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
 )
@@ -20,28 +22,39 @@ import (
 // traversal actually inspects, so sampling cost stays proportional to the
 // explored region rather than to n.
 type LT struct {
-	g *graph.Graph
+	rows
 }
 
 // NewLT returns an LT sampler over g, reading edge probabilities as LT
 // weights.
-func NewLT(g *graph.Graph) *LT { return &LT{g: g} }
+func NewLT(g *graph.Graph) *LT { return &LT{plainRows(g)} }
 
-// Graph returns the underlying graph.
-func (lt *LT) Graph() *graph.Graph { return lt.g }
+// NewLTView returns an LT sampler over a seed view; it draws the samples
+// NewLT draws on the view's unified graph. The super edge into a target
+// weighs the super row's folded probability, as in the unified graph.
+func NewLTView(v *graph.SeedView) *LT { return &LT{viewRows(v)} }
 
 // NewWorkspace allocates scratch space for one goroutine, including the
 // lazy trigger-choice buffers.
 func (lt *LT) NewWorkspace() *Workspace {
-	ws := newWorkspace(lt.g.N())
-	ws.ltStamp = make([]int32, lt.g.N())
-	ws.ltChoice = make([]graph.V, lt.g.N())
+	ws := newWorkspace(lt.N())
+	ws.ltStamp = make([]int32, lt.N())
+	ws.ltChoice = make([]graph.V, lt.N())
 	return ws
 }
 
 // choice returns v's sampled trigger in-neighbor for the current epoch,
-// sampling it on first use. -1 means v triggers on nothing this round.
-func (lt *LT) choice(v graph.V, r *rng.Source, ws *Workspace) graph.V {
+// sampling it on first use; from is the vertex whose out-row inspects v.
+// -1 means v triggers on nothing this round.
+//
+// On a seed view the super-seed is the source, so its row is walked first
+// and inspects each of its targets before any other row does: a choice
+// first asked from the super-seed is a super target's, and takes the slow
+// path. It walks the unified in-row — the base in-row minus its seed
+// sources, then the super edge, whose id n is the largest — accumulating
+// the same weights in the same order. Every other vertex's base in-row
+// holds no seed, so it is the unified in-row as it stands.
+func (lt *LT) choice(v, from graph.V, r *rng.Source, ws *Workspace) graph.V {
 	if ws.ltStamp[v] == ws.epoch {
 		return ws.ltChoice[v]
 	}
@@ -51,11 +64,30 @@ func (lt *LT) choice(v graph.V, r *rng.Source, ws *Workspace) graph.V {
 	acc := 0.0
 	in := lt.g.InNeighbors(v)
 	ps := lt.g.InProbs(v)
-	for i, u := range in {
-		acc += ps[i]
-		if x < acc {
-			chosen = u
-			break
+	if from != lt.super {
+		for i, u := range in {
+			acc += ps[i]
+			if x < acc {
+				chosen = u
+				break
+			}
+		}
+	} else {
+		for i, u := range in {
+			if lt.seeds[u] {
+				continue
+			}
+			acc += ps[i]
+			if x < acc {
+				chosen = u
+				break
+			}
+		}
+		if chosen == -1 {
+			j, _ := slices.BinarySearch(lt.superTo, v)
+			if acc += lt.superP[j]; x < acc {
+				chosen = lt.super
+			}
 		}
 	}
 	ws.ltChoice[v] = chosen
@@ -65,17 +97,19 @@ func (lt *LT) choice(v graph.V, r *rng.Source, ws *Workspace) graph.V {
 // Sample implements LiveSampler. In the LT live-edge graph every vertex has
 // in-degree at most one, so the reachable subgraph is a tree rooted at src.
 func (lt *LT) Sample(src graph.V, blocked []bool, r *rng.Source, ws *Workspace) *SampledGraph {
+	skip := lt.mask(blocked)
 	ws.reset()
 	ws.reach(src)
 	ws.queue = append(ws.queue, src)
 	for qi := 0; qi < len(ws.queue); qi++ {
 		u := ws.queue[qi]
 		lu := ws.local[u]
-		for _, v := range lt.g.OutNeighbors(u) {
-			if blocked != nil && blocked[v] {
+		to, _ := lt.out(u)
+		for _, v := range to {
+			if skip != nil && skip[v] {
 				continue
 			}
-			if lt.choice(v, r, ws) != u {
+			if lt.choice(v, u, r, ws) != u {
 				continue
 			}
 			lv, isNew := ws.reach(v)
@@ -91,19 +125,21 @@ func (lt *LT) Sample(src graph.V, blocked []bool, r *rng.Source, ws *Workspace) 
 
 // SimulateCount implements LiveSampler.
 func (lt *LT) SimulateCount(src graph.V, blocked []bool, r *rng.Source, ws *Workspace) int {
+	skip := lt.mask(blocked)
 	ws.reset()
 	ws.reach(src)
 	ws.queue = append(ws.queue, src)
 	for qi := 0; qi < len(ws.queue); qi++ {
 		u := ws.queue[qi]
-		for _, v := range lt.g.OutNeighbors(u) {
-			if blocked != nil && blocked[v] {
+		to, _ := lt.out(u)
+		for _, v := range to {
+			if skip != nil && skip[v] {
 				continue
 			}
 			if ws.stamp[v] == ws.epoch {
 				continue
 			}
-			if lt.choice(v, r, ws) != u {
+			if lt.choice(v, u, r, ws) != u {
 				continue
 			}
 			ws.stamp[v] = ws.epoch

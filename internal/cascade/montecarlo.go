@@ -37,8 +37,8 @@ func simulate(s LiveSampler, src graph.V, blocked []bool, rounds int, r *rng.Sou
 // Workspaces keeps EstimateSpreadParallel's per-worker Workspaces across
 // calls, so repeated estimates allocate their n-sized scratch once. A
 // Workspace made by one sampler type serves every sampler of that type
-// whose graph has at most as many vertices; a call with another type starts
-// the set over, and a larger graph replaces the workspaces it outgrows. The
+// whose id space is at most as large; a call with another type starts the
+// set over, and a larger id space replaces the workspaces it outgrows. The
 // zero value is ready to use. It must not be shared by concurrent calls.
 type Workspaces struct {
 	kind reflect.Type // the sampler type that made ws
@@ -57,7 +57,7 @@ func (c *Workspaces) get(s LiveSampler, w int) *Workspace {
 	for len(c.ws) <= w {
 		c.ws = append(c.ws, nil)
 	}
-	if c.ws[w] == nil || c.ws[w].n < s.Graph().N() {
+	if c.ws[w] == nil || c.ws[w].n < s.N() {
 		c.ws[w] = s.NewWorkspace()
 	}
 	return c.ws[w]

@@ -41,16 +41,20 @@ type SampledGraph struct {
 }
 
 // LiveSampler generates live-edge samples and forward simulations for a
-// fixed underlying graph. Implementations are safe for concurrent use as
-// long as each goroutine owns its Workspace and rng.Source.
+// fixed underlying graph, or for a seed view of one (graph.SeedView).
+// Implementations are safe for concurrent use as long as each goroutine
+// owns its Workspace and rng.Source.
 type LiveSampler interface {
-	// Graph returns the underlying graph.
-	Graph() *graph.Graph
+	// N returns the size of the vertex-id space samples are drawn in: the
+	// graph's vertex count, plus one for a seed view's super-seed.
+	N() int
 	// NewWorkspace allocates reusable per-goroutine scratch space.
 	NewWorkspace() *Workspace
 	// Sample draws one live-edge sample and returns its reachable subgraph
 	// from src. Vertices with blocked[v] set are treated as removed;
-	// blocked may be nil. src must not be blocked.
+	// blocked may be nil. src must not be blocked. On a seed view src is
+	// the super-seed, and a non-nil blocked must mark every seed as well
+	// (a nil one masks the seeds alone).
 	Sample(src graph.V, blocked []bool, r *rng.Source, ws *Workspace) *SampledGraph
 	// SimulateCount runs one forward diffusion round and returns the number
 	// of activated vertices including src (σ(src, g) of a fresh sample). It
@@ -157,6 +161,52 @@ func (ws *Workspace) buildCSR() *SampledGraph {
 	return &ws.sg
 }
 
+// rows is the graph a sampler walks: a plain graph, or a seed view of one.
+// On a view, out returns the super row at the super-seed and base rows
+// elsewhere, and the seed mask stands in for a nil blocked mask, so a
+// sampler's inner loop skips seed targets through the one mask it checks
+// before any coin; the walk then visits UnifySeeds' edges in its order.
+type rows struct {
+	g       *graph.Graph
+	super   graph.V // the view's super-seed; -1 on a plain graph
+	superTo []graph.V
+	superP  []float64
+	seeds   []bool // the view's seed mask; nil on a plain graph
+}
+
+func plainRows(g *graph.Graph) rows { return rows{g: g, super: -1} }
+
+func viewRows(v *graph.SeedView) rows {
+	to, ps := v.SuperRow()
+	return rows{g: v.Graph(), super: v.Super(), superTo: to, superP: ps, seeds: v.Seeds()}
+}
+
+// N implements LiveSampler.
+func (rs *rows) N() int {
+	if rs.seeds != nil {
+		return len(rs.seeds)
+	}
+	return rs.g.N()
+}
+
+// out returns u's out-row: the super row at the super-seed, the base row
+// (seed targets included) anywhere else.
+func (rs *rows) out(u graph.V) ([]graph.V, []float64) {
+	if u == rs.super {
+		return rs.superTo, rs.superP
+	}
+	return rs.g.OutNeighbors(u), rs.g.OutProbs(u)
+}
+
+// mask returns the mask a walk skips targets through: blocked, or the
+// seed mask when blocked is nil.
+func (rs *rows) mask(blocked []bool) []bool {
+	if blocked == nil {
+		return rs.seeds
+	}
+	return blocked
+}
+
 // IC is the LiveSampler for the independent cascade model: each edge is live
 // independently with its propagation probability.
 //
@@ -167,30 +217,31 @@ func (ws *Workspace) buildCSR() *SampledGraph {
 // the call would cost more than the draw; the draws and their order are
 // Bernoulli's exactly.
 type IC struct {
-	g *graph.Graph
+	rows
 }
 
 // NewIC returns an IC sampler over g.
-func NewIC(g *graph.Graph) *IC { return &IC{g: g} }
+func NewIC(g *graph.Graph) *IC { return &IC{plainRows(g)} }
 
-// Graph returns the underlying graph.
-func (ic *IC) Graph() *graph.Graph { return ic.g }
+// NewICView returns an IC sampler over a seed view; it draws the samples
+// NewIC draws on the view's unified graph.
+func NewICView(v *graph.SeedView) *IC { return &IC{viewRows(v)} }
 
 // NewWorkspace allocates scratch space for one goroutine.
-func (ic *IC) NewWorkspace() *Workspace { return newWorkspace(ic.g.N()) }
+func (ic *IC) NewWorkspace() *Workspace { return newWorkspace(ic.N()) }
 
 // Sample implements LiveSampler.
 func (ic *IC) Sample(src graph.V, blocked []bool, r *rng.Source, ws *Workspace) *SampledGraph {
+	skip := ic.mask(blocked)
 	ws.reset()
 	ws.reach(src)
 	ws.queue = append(ws.queue, src)
 	for qi := 0; qi < len(ws.queue); qi++ {
 		u := ws.queue[qi]
 		lu := ws.local[u]
-		to := ic.g.OutNeighbors(u)
-		ps := ic.g.OutProbs(u)
+		to, ps := ic.out(u)
 		for i, v := range to {
-			if blocked != nil && blocked[v] {
+			if skip != nil && skip[v] {
 				continue
 			}
 			if p := ps[i]; p <= 0 || !(p >= 1) && !(float64(r.Uint64()>>11)/(1<<53) < p) {
@@ -209,15 +260,15 @@ func (ic *IC) Sample(src graph.V, blocked []bool, r *rng.Source, ws *Workspace) 
 
 // SimulateCount implements LiveSampler.
 func (ic *IC) SimulateCount(src graph.V, blocked []bool, r *rng.Source, ws *Workspace) int {
+	skip := ic.mask(blocked)
 	ws.reset()
 	ws.reach(src)
 	ws.queue = append(ws.queue, src)
 	for qi := 0; qi < len(ws.queue); qi++ {
 		u := ws.queue[qi]
-		to := ic.g.OutNeighbors(u)
-		ps := ic.g.OutProbs(u)
+		to, ps := ic.out(u)
 		for i, v := range to {
-			if blocked != nil && blocked[v] {
+			if skip != nil && skip[v] {
 				continue
 			}
 			if ws.stamp[v] == ws.epoch {

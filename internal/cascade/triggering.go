@@ -63,8 +63,8 @@ func NewTriggering(g *graph.Graph, fn TriggerFunc) *Triggering {
 	return &Triggering{g: g, fn: fn}
 }
 
-// Graph returns the underlying graph.
-func (t *Triggering) Graph() *graph.Graph { return t.g }
+// N implements LiveSampler.
+func (t *Triggering) N() int { return t.g.N() }
 
 // NewWorkspace allocates scratch space for one goroutine, including the
 // lazy trigger-set buffers.

@@ -12,8 +12,7 @@ import (
 // instead of n separate Monte-Carlo estimations. Complexity
 // O(b·θ·m·α(m,n)) versus the baseline's O(b·n·r·m).
 func solveAdvancedGreedy(halt stopper, in *instance, est *estBackend, b int, opt Options) Result {
-	n := in.g.N()
-	blocked := make([]bool, n)
+	blocked := in.newBlocked()
 	var blockers []graph.V
 
 	for round := 0; round < b; round++ {
@@ -45,19 +44,21 @@ func solveAdvancedGreedy(halt stopper, in *instance, est *estBackend, b int, opt
 // by smaller vertex id (deterministic), or -1 if none remain. Following
 // Algorithm 1/3 line "x = -1 or Δ[u] > Δ[x]", a candidate is returned even
 // when every Δ is zero — blocking it is harmless and keeps |B| = b. The
-// scan walks the instance's precomputed candidate list (ascending, so
-// tie-breaking is unchanged) instead of re-filtering all n vertices: at
-// serving scale — millions of vertices, a handful of seeds — the two are
-// the same length, but the candidate test drops out of the per-round path.
+// scan walks the runs between the instance's fences (ascending, so
+// tie-breaking is by id), so no candidate test sits on the per-round path.
 func pickMax(in *instance, blocked []bool, delta []float64) graph.V {
 	best := graph.V(-1)
-	for _, u := range in.cands {
-		if blocked[u] {
-			continue
+	lo := graph.V(0)
+	for _, hi := range in.fences {
+		for u := lo; u < hi; u++ {
+			if blocked[u] {
+				continue
+			}
+			if best == -1 || delta[u] > delta[best] {
+				best = u
+			}
 		}
-		if best == -1 || delta[u] > delta[best] {
-			best = u
-		}
+		lo = hi + 1
 	}
 	return best
 }

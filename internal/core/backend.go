@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"github.com/imin-dev/imin/internal/graph"
 	"github.com/imin-dev/imin/internal/rng"
 )
@@ -53,24 +55,27 @@ func (b *estBackend) noteFlip(v graph.V) {
 // through the base source split per round), and a ReuseSamples pool is
 // keyed by (Seed, Theta) with its maintained accumulator always equal to a
 // full re-scan's, so a warm backend selects exactly the blockers a cold
-// one would. Caller holds the session lock and has applied
-// opt.withDefaults and resolved opt.Workers.
-func (s *Session) backend(si *sessionInstance, alg Algorithm, opt Options) (*estBackend, *sessionPool) {
+// one would. A canceled pool draw returns ctx.Err(). Caller holds the
+// session lock and has applied opt.withDefaults and resolved opt.Workers.
+func (s *Session) backend(ctx context.Context, si *sessionInstance, alg Algorithm, opt Options) (*estBackend, *sessionPool, error) {
 	if alg != AdvancedGreedy && alg != GreedyReplace {
-		return nil, nil
+		return nil, nil, nil
 	}
 	b := &estBackend{theta: opt.Theta, base: rng.New(opt.Seed)}
 	if !opt.ReuseSamples {
 		si.est.SetWorkers(opt.Workers)
 		b.fresh = si.est
-		return b, nil
+		return b, nil, nil
 	}
-	sp, built := s.warmPool(si, opt)
+	sp, built, err := s.warmPool(ctx, si, opt)
+	if err != nil {
+		return nil, nil, err
+	}
 	b.incr = sp.est
 	if built {
 		b.drawn = int64(opt.Theta)
 	}
-	return b, sp
+	return b, sp, nil
 }
 
 // decreaseES returns Δ[u] on G[V\B] for the given greedy round. The

@@ -19,7 +19,8 @@ func solveBaselineGreedy(halt stopper, in *instance, b int, opt Options) Result 
 	sampler := in.sampler(opt.Diffusion)
 	base := rng.New(opt.Seed)
 
-	blocked := make([]bool, in.g.N())
+	blocked := in.newBlocked()
+	cands := in.candidates()
 	var scratch cascade.Workspaces
 	var blockers []graph.V
 	var sims int64
@@ -28,7 +29,7 @@ func solveBaselineGreedy(halt stopper, in *instance, b int, opt Options) Result 
 	for round := 0; round < b; round++ {
 		bestV := graph.V(-1)
 		bestSpread := 0.0
-		for _, u := range in.cands {
+		for _, u := range cands {
 			if blocked[u] {
 				continue
 			}

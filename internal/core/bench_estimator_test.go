@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -74,8 +75,8 @@ func estBenchInstance(b *testing.B) *instance {
 func benchTrajectory(b *testing.B, in *instance, pool *SamplePool) []graph.V {
 	b.Helper()
 	est := NewPooledEstimatorFromPool(pool, 0)
-	blocked := make([]bool, in.g.N())
-	delta := make([]float64, in.g.N())
+	blocked := in.newBlocked()
+	delta := make([]float64, in.n())
 	traj := make([]graph.V, 0, estBenchRounds)
 	for round := 0; round < estBenchRounds; round++ {
 		est.DecreaseES(delta, blocked)
@@ -119,7 +120,7 @@ func BenchmarkDecreaseES_FreshWikiVote(b *testing.B) {
 }
 
 // wikiVoteInstance returns the Wiki-Vote stand-in under trivalency with ten
-// unified seeds.
+// seeds.
 func wikiVoteInstance(b *testing.B) *instance {
 	b.Helper()
 	spec, _ := datasets.ByName("Wiki-Vote")
@@ -140,7 +141,7 @@ func wikiVoteInstance(b *testing.B) *instance {
 func benchFresh(b *testing.B, in *instance) {
 	pool := NewSamplePool(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7))
 	traj := benchTrajectory(b, in, pool)
-	blocked := make([]bool, in.g.N())
+	blocked := in.newBlocked()
 	base := rng.New(7)
 	est := &estBackend{fresh: NewEstimator(in.sampler(DiffusionIC), 0), theta: estBenchTheta, base: base}
 	b.ResetTimer()
@@ -154,8 +155,8 @@ func BenchmarkDecreaseES_Pooled(b *testing.B) {
 	in := estBenchInstance(b)
 	pool := NewSamplePool(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7))
 	traj := benchTrajectory(b, in, pool)
-	blocked := make([]bool, in.g.N())
-	delta := make([]float64, in.g.N())
+	blocked := in.newBlocked()
+	delta := make([]float64, in.n())
 	est := NewPooledEstimatorFromPool(pool, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -181,7 +182,7 @@ func BenchmarkDecreaseES_IncrementalWikiVote(b *testing.B) {
 func benchIncremental(b *testing.B, in *instance) {
 	pool := NewSamplePool(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7))
 	traj := benchTrajectory(b, in, pool)
-	blocked := make([]bool, in.g.N())
+	blocked := in.newBlocked()
 	// One persistent estimator, like a warm session: every iteration's
 	// round 0 diffs away the previous iteration's blockers — the
 	// repeated-solve pattern the serving layer runs. The priming scan and
@@ -203,4 +204,24 @@ func benchIncremental(b *testing.B, in *instance) {
 	b.ReportMetric(float64(primeNs.Nanoseconds()), "prime-ns")
 	st := incr.Stats()
 	b.ReportMetric(float64(st.SamplesReprocessed-st0.SamplesReprocessed)/float64(st.Rounds-st0.Rounds), "dirty-samples/round")
+}
+
+// BenchmarkSessionPrepare times a cold LockedSession.Prepare of a 10-seed
+// set on the serving-size graph: the seed view, candidate fences and
+// estimator a session builds on first sight of a seed set. Compare its
+// B/op with BenchmarkUnifySeeds (internal/graph), the copy the view
+// replaces.
+func BenchmarkSessionPrepare(b *testing.B) {
+	g, seeds := estBenchGraph(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		h, err := NewSession(g, DiffusionIC, 1).Acquire(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := h.Prepare(seeds); err != nil {
+			b.Fatal(err)
+		}
+		h.Release()
+	}
 }

@@ -5,9 +5,9 @@
 // baselines they are evaluated against: BaselineGreedy (Algorithm 1, the
 // prior state of the art), Rand, and OutDegree.
 //
-// All algorithms operate on a single-source instance; multi-seed problems
-// are reduced to single-source with graph.UnifySeeds by the Solve entry
-// point in solve.go.
+// All algorithms operate on a single-source instance; a multi-seed problem
+// is reduced to one with a super-seed (Section V), held as a
+// graph.SeedView of the caller's graph rather than a copy (solve.go).
 package core
 
 import (
@@ -67,7 +67,7 @@ func (e *Estimator) SetWorkers(workers int) {
 // use.
 func (e *Estimator) worker(w int) *estWorker {
 	for len(e.scratch) <= w {
-		n := e.sampler.Graph().N()
+		n := e.sampler.N()
 		e.scratch = append(e.scratch, &estWorker{
 			cws:          e.sampler.NewWorkspace(),
 			sampleKernel: newSampleKernel(),
@@ -77,9 +77,11 @@ func (e *Estimator) worker(w int) *estWorker {
 	return e.scratch[w]
 }
 
-// DecreaseES estimates Δ[u] for every vertex u of the graph with θ sampled
-// graphs, treating blocked vertices as removed (so it estimates on G[V\B]).
-// The result is written into dst, which must have length ≥ n; dst[src] and
+// DecreaseES estimates Δ[u] for every vertex u of the sampler's id space
+// with θ sampled graphs, treating blocked vertices as removed (so it
+// estimates on G[V\B]); on a seed view blocked marks the seeds too (see
+// cascade.LiveSampler). The result is written into dst, which must have
+// length ≥ n, the sampler's N; dst[src] and
 // dst of blocked vertices are 0. The estimate is deterministic for a fixed
 // (base seed, workers) pair.
 //
@@ -90,7 +92,7 @@ func (e *Estimator) DecreaseES(dst []float64, src graph.V, blocked []bool, theta
 	if theta <= 0 {
 		panic("core: DecreaseES with non-positive theta")
 	}
-	n := e.sampler.Graph().N()
+	n := e.sampler.N()
 	if len(dst) < n {
 		panic("core: DecreaseES dst too short")
 	}

@@ -24,7 +24,7 @@ func evalOracle(t *testing.T, g *graph.Graph, d Diffusion, seeds, blockers []gra
 		t.Fatal(err)
 	}
 	pool := NewSamplePool(in.sampler(d), in.src, rounds, 1, evalBase())
-	blocked := make([]bool, in.g.N())
+	blocked := make([]bool, in.n())
 	for _, v := range blockers {
 		blocked[v] = true
 	}

@@ -10,7 +10,7 @@ import (
 // solveRand implements the RA baseline: b uniformly random candidates.
 func solveRand(in *instance, b int, opt Options) Result {
 	r := rng.New(opt.Seed)
-	candidates := append([]graph.V(nil), in.cands...)
+	candidates := in.candidates()
 	if b > len(candidates) {
 		b = len(candidates)
 	}
@@ -26,10 +26,10 @@ func solveRand(in *instance, b int, opt Options) Result {
 // highest out-degree in the original graph, ties broken by smaller id so
 // runs are deterministic.
 func solveOutDegree(in *instance, b int, opt Options) Result {
-	candidates := append([]graph.V(nil), in.cands...)
+	candidates := in.candidates()
 	sort.Slice(candidates, func(i, j int) bool {
-		di := in.orig.OutDegree(candidates[i])
-		dj := in.orig.OutDegree(candidates[j])
+		di := in.g.OutDegree(candidates[i])
+		dj := in.g.OutDegree(candidates[j])
 		if di != dj {
 			return di > dj
 		}

@@ -148,7 +148,7 @@ func (sh *incShard) add(v graph.V, d int64) {
 // The estimator's first DecreaseES call processes every sample to prime
 // the accumulators; later calls are incremental.
 func NewIncrementalPooledEstimatorFromPool(pool *SamplePool, workers int) *IncrementalPooledEstimator {
-	n := pool.g.N()
+	n := pool.n
 	tv := pool.vertStart[pool.Theta()]
 	e := &IncrementalPooledEstimator{
 		pool:        pool,
@@ -200,7 +200,7 @@ func (e *IncrementalPooledEstimator) reshard(workers int) {
 	}
 	e.workers = workers
 	theta := e.pool.Theta()
-	n := e.pool.g.N()
+	n := e.pool.n
 	p := poolWorkers(workers, theta)
 	e.shards = make([]*incShard, p)
 	for s := 0; s < p; s++ {
@@ -281,7 +281,7 @@ func (e *IncrementalPooledEstimator) markDirty(i int32) {
 }
 
 func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V, haveFlips bool) []float64 {
-	n := e.pool.g.N()
+	n := e.pool.n
 	theta := e.pool.Theta()
 	e.rounds++
 
@@ -560,7 +560,7 @@ func (e *IncrementalPooledEstimator) RepairPool(newPool *SamplePool, dirty []int
 	if newPool.Theta() != old.Theta() {
 		panic("core: RepairPool with mismatched theta")
 	}
-	if n := newPool.g.N(); n > len(e.vals) {
+	if n := newPool.n; n > len(e.vals) {
 		grow := n - len(e.vals)
 		e.vals = append(e.vals, make([]float64, grow)...)
 		e.prevBlocked = append(e.prevBlocked, make([]bool, grow)...)

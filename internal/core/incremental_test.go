@@ -249,7 +249,10 @@ func fullDiffBlockers(t *testing.T, g *graph.Graph, b int, alg Algorithm, opt Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _ := sess.backend(si, alg, opt)
+	back, _, err := sess.backend(context.Background(), si, alg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt.OnRound = func(RoundInfo) { back.flipsKnown = false }
 	if alg == AdvancedGreedy {
 		return solveAdvancedGreedy(stopper{}, si.in, back, b, opt).Blockers

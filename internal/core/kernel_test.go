@@ -107,7 +107,7 @@ func TestTreeFastPathMatchesSNCAProperty(t *testing.T) {
 			ws := sampler.NewWorkspace()
 			r, br := rng.New(6), rng.New(7)
 			fast, ref := newSampleKernel(), newFilterRef()
-			blocked := make([]bool, in.g.N())
+			blocked := make([]bool, in.n())
 			trees, others, cut := 0, 0, 0
 			for i := 0; i < 2000; i++ {
 				s := sampler.Sample(in.src, nil, r, ws)

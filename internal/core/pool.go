@@ -28,7 +28,7 @@ import (
 // it can back any number of estimators (each estimator carries its own
 // mutable state).
 type SamplePool struct {
-	g   *graph.Graph
+	n   int // the sampler's id-space size: every vertex id is below it
 	src graph.V
 
 	// base is a copy of the rng source the pool was drawn from: sample i is
@@ -152,7 +152,7 @@ func drawSamplePool(ctx context.Context, sampler cascade.LiveSampler, src graph.
 	}
 
 	p := &SamplePool{
-		g:         sampler.Graph(),
+		n:         sampler.N(),
 		src:       src,
 		base:      *base,
 		vertStart: make([]int64, theta+1),
@@ -203,7 +203,7 @@ func drawSamplePool(ctx context.Context, sampler cascade.LiveSampler, src graph.
 // per-vertex ordering — ascending sample ids — is identical to the serial
 // sort for every worker count.
 func (p *SamplePool) buildIndex(workers int) {
-	n := p.g.N()
+	n := p.n
 	theta := p.Theta()
 	if workers > theta {
 		workers = theta
@@ -263,9 +263,6 @@ func (p *SamplePool) buildIndex(workers int) {
 
 // Theta returns the number of stored samples.
 func (p *SamplePool) Theta() int { return len(p.vertStart) - 1 }
-
-// Graph returns the underlying graph.
-func (p *SamplePool) Graph() *graph.Graph { return p.g }
 
 // Source returns the source vertex the samples were drawn from.
 func (p *SamplePool) Source() graph.V { return p.src }

@@ -51,7 +51,7 @@ func (p *PooledEstimator) worker(w int) *pooledWorker {
 	for len(p.scratch) <= w {
 		p.scratch = append(p.scratch, &pooledWorker{
 			ref: newFilterRef(),
-			acc: make([]int64, p.pool.g.N()),
+			acc: make([]int64, p.pool.n),
 		})
 	}
 	return p.scratch[w]
@@ -60,7 +60,7 @@ func (p *PooledEstimator) worker(w int) *pooledWorker {
 // DecreaseES estimates Δ[u] on G[V\B] for every vertex from the stored
 // pool, writing into dst (length ≥ n). Deterministic given the pool.
 func (p *PooledEstimator) DecreaseES(dst []float64, blocked []bool) {
-	n := p.pool.g.N()
+	n := p.pool.n
 	var wg sync.WaitGroup
 	theta := p.pool.Theta()
 	for w := 0; w < p.workers; w++ {

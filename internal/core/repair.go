@@ -18,24 +18,52 @@ import (
 // in-row changed — is a sound criterion. (In-neighbors added by this very
 // batch have changed out-rows, so they are already sources.)
 func RepairSetLT(old *graph.Graph, changedSources, changedTargets []graph.V) []graph.V {
+	return (&instance{g: old}).dirtySet(DiffusionLT, changedSources, changedTargets)
+}
+
+// dirtySet is the dirty criterion Repair needs for in's samples under
+// model d, given a batch's changed sources and targets in graph ids; in is
+// the pre-mutation instance. Under IC it is the changed sources; under LT
+// RepairSetLT widens them. On a seed view the set is the one UnifySeeds'
+// graph gives, in the same order: a changed seed row folds into the super
+// row, so the seeds among the sources become the super-seed, added after
+// the others; seeds drop out of the targets (no sample reaches one); and a
+// seed in-neighbor of a target stands for the super edge, which comes last
+// in the unified in-row. A brand-new target is inspected only via new
+// sources, so it adds nothing.
+func (in *instance) dirtySet(d Diffusion, changedSources, changedTargets []graph.V) []graph.V {
 	seen := make(map[graph.V]struct{}, len(changedSources))
-	out := make([]graph.V, 0, len(changedSources))
+	out := make([]graph.V, 0, len(changedSources)+1)
 	add := func(v graph.V) {
 		if _, ok := seen[v]; !ok {
 			seen[v] = struct{}{}
 			out = append(out, v)
 		}
 	}
-	for _, v := range changedSources {
-		add(v)
+	// seedIn adds the vertices of vs that are not seeds, then the
+	// super-seed if any of them was one.
+	seedIn := func(vs []graph.V) {
+		super := false
+		for _, v := range vs {
+			if in.view != nil && in.view.Seeds()[v] {
+				super = true
+			} else {
+				add(v)
+			}
+		}
+		if super {
+			add(in.view.Super())
+		}
+	}
+	seedIn(changedSources)
+	if d != DiffusionLT {
+		return out
 	}
 	for _, v := range changedTargets {
-		if v < 0 || int(v) >= old.N() {
-			continue // a brand-new vertex is inspected only via new sources
+		if v < 0 || int(v) >= in.g.N() || in.view != nil && in.view.Seeds()[v] {
+			continue
 		}
-		for _, u := range old.InNeighbors(v) {
-			add(u)
-		}
+		seedIn(in.g.InNeighbors(v))
 	}
 	return out
 }
@@ -67,8 +95,7 @@ func RepairSetLT(old *graph.Graph, changedSources, changedTargets []graph.V) []g
 // immutable and remains valid. workers <= 0 selects GOMAXPROCS.
 func (p *SamplePool) Repair(sampler cascade.LiveSampler, changed []graph.V, workers int) (*SamplePool, []int32) {
 	theta := p.Theta()
-	oldN := p.g.N()
-	newG := sampler.Graph()
+	oldN, newN := p.n, sampler.N()
 
 	mark := make([]bool, theta)
 	nDirty := 0
@@ -94,12 +121,12 @@ func (p *SamplePool) Repair(sampler cascade.LiveSampler, changed []graph.V, work
 		// Every sample replays identically: share the (immutable) arena and
 		// rebind the graph. The index is per-vertex and must cover new ids.
 		q := &SamplePool{
-			g: newG, src: p.src, base: p.base,
+			n: newN, src: p.src, base: p.base,
 			vertStart: p.vertStart, edgeStart: p.edgeStart,
 			vertOrig: p.vertOrig, csrStart: p.csrStart, edgeTo: p.edgeTo,
 			csrInStart: p.csrInStart, inFrom: p.inFrom,
 		}
-		if newG.N() == oldN {
+		if newN == oldN {
 			q.idxStart, q.idxSample = p.idxStart, p.idxSample
 		} else {
 			q.buildIndex(poolWorkers(workers, theta))
@@ -107,12 +134,12 @@ func (p *SamplePool) Repair(sampler cascade.LiveSampler, changed []graph.V, work
 		return q, dirty
 	}
 
-	return p.repairDirty(sampler, newG, mark, dirty, workers), dirty
+	return p.repairDirty(sampler, mark, dirty, workers), dirty
 }
 
 // repairDirty redraws the dirty samples from their original streams and
 // byte-copies every other sample into a fresh arena.
-func (p *SamplePool) repairDirty(sampler cascade.LiveSampler, newG *graph.Graph, mark []bool, dirty []int32, workers int) *SamplePool {
+func (p *SamplePool) repairDirty(sampler cascade.LiveSampler, mark []bool, dirty []int32, workers int) *SamplePool {
 	theta := p.Theta()
 	nDirty := len(dirty)
 
@@ -163,7 +190,7 @@ func (p *SamplePool) repairDirty(sampler cascade.LiveSampler, newG *graph.Graph,
 	// Phase 2: new arena offsets — dirty samples change size, so the whole
 	// prefix structure is recomputed.
 	q := &SamplePool{
-		g: newG, src: p.src, base: p.base,
+		n: sampler.N(), src: p.src, base: p.base,
 		vertStart: make([]int64, theta+1), edgeStart: make([]int64, theta+1),
 	}
 	var tv, te int64

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"github.com/imin-dev/imin/internal/graph"
@@ -21,25 +20,20 @@ import (
 // The expected spread is never worse than blocking out-neighbors only, and
 // the replacement pass recovers greedy's advantage at small budgets.
 func solveGreedyReplace(halt stopper, in *instance, est *estBackend, b int, opt Options) Result {
-	n := in.g.N()
-	blocked := make([]bool, n)
+	blocked := in.newBlocked()
 	var blockers []graph.V
 	round := uint64(0)
 
 	// Phase 1: candidate blockers limited to the seed's out-neighbors
-	// (in the unified instance: the union of all seeds' out-neighbors).
-	// The members are collected once into an ascending id list so each
-	// round scans |CB| entries, not all n vertices; ascending order keeps
-	// the original whole-vertex-range tie-breaking.
-	inCB := make([]bool, n)
-	var cbList []graph.V
-	for _, v := range in.g.OutNeighbors(in.src) {
-		if in.candidate(v) && !inCB[v] {
-			inCB[v] = true
-			cbList = append(cbList, v)
-		}
+	// (on a seed view: the union of all seeds' out-neighbors that are not
+	// seeds, the super row). Rows are ascending and hold no self-loop, so
+	// the list is ascending and holds no seed: each round scans |CB|
+	// entries, not all n vertices, with whole-vertex-range tie-breaking.
+	cbList := in.sourceRow()
+	inCB := make([]bool, in.n())
+	for _, v := range cbList {
+		inCB[v] = true
 	}
-	sort.Slice(cbList, func(i, j int) bool { return cbList[i] < cbList[j] })
 	phase1 := len(cbList)
 	if b < phase1 {
 		phase1 = b

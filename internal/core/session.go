@@ -12,8 +12,9 @@ import (
 )
 
 // Session keeps the expensive per-problem solver state warm across Solve
-// calls on one graph under one diffusion model: the multi-seed unified
-// instance (UnifySeeds copies the whole graph), the live-edge sampler, the
+// calls on one graph under one diffusion model: the seed set's instance (a
+// seed view of the session's graph: a seed mask and the super-seed's
+// folded row, never a copy of the graph), the live-edge sampler, the
 // Algorithm 2 estimator with its per-worker scratch (several O(n) arrays
 // per worker), and the held-out pool EvaluateSpread counts on. A cold
 // Solve pays all of that on every call; a warm Session call with the same
@@ -57,13 +58,16 @@ type Session struct {
 	poolBytes  atomic.Int64
 	poolBuilds atomic.Int64
 	poolReuses atomic.Int64
+	// instanceBytes is the cached instances' footprint (instance.memoryBytes),
+	// kept like poolBytes.
+	instanceBytes atomic.Int64
 }
 
 // maxSessionInstances bounds the per-seed-set cache inside one session, so
 // a few clients interleaving different seed sets on one hot graph don't
-// evict each other's prepared state on every request (instances cost a
-// whole-graph copy for multi-seed problems plus per-worker estimator
-// scratch, which is also why the bound is small).
+// evict each other's prepared state on every request. An instance itself
+// is small (a seed mask of n+1 bytes and the super row); what keeps the
+// bound small is the per-worker estimator scratch and the pools it holds.
 const maxSessionInstances = 4
 
 // maxSessionPools bounds the per-instance cache of ReuseSamples pools. A
@@ -72,9 +76,9 @@ const maxSessionInstances = 4
 // one hot (seed, θ) pair plus one alternate.
 const maxSessionPools = 2
 
-// sessionInstance is the prepared state for one seed set: the unified
-// instance, the estimator bound to its sampler, the ReuseSamples pools
-// drawn for it so far, and its held-out eval pool.
+// sessionInstance is the prepared state for one seed set: the instance,
+// the estimator bound to its sampler, the ReuseSamples pools drawn for it
+// so far, and its held-out eval pool.
 type sessionInstance struct {
 	key   string
 	seeds []graph.V // the exact seed sequence, for re-preparing after Advance
@@ -139,6 +143,10 @@ type SessionStats struct {
 	PoolBuilds int64
 	PoolReuses int64
 	PoolBytes  int64
+	// InstanceBytes is the cached instances' footprint beyond the graph
+	// itself: each seed view's mask and super row, and the candidate
+	// fences.
+	InstanceBytes int64
 	// Advances counts graph-epoch migrations (Advance calls) the session
 	// survived with its warm state repaired in place.
 	Advances int64
@@ -219,8 +227,10 @@ func (s *Session) prepare(seeds []graph.V) (si *sessionInstance, built bool, err
 			}
 		}
 		s.poolBytes.Add(-s.insts[lru].poolBytes())
+		s.instanceBytes.Add(-s.insts[lru].in.memoryBytes())
 		s.insts[lru] = si
 	}
+	s.instanceBytes.Add(in.memoryBytes())
 	s.stats.Rebuilds++
 	return si, true, nil
 }
@@ -233,19 +243,23 @@ func (s *Session) prepare(seeds []graph.V) (si *sessionInstance, built bool, err
 // deliberately excludes the worker count: pool content does not depend on
 // it, so a hit at a different opt.Workers only re-fans the estimator's
 // shards (SetWorkers) and keeps every cached sample and contribution.
-// Caller holds the session lock and has already applied opt.withDefaults
-// and resolved opt.Workers.
-func (s *Session) warmPool(si *sessionInstance, opt Options) (sp *sessionPool, built bool) {
+// A draw checks ctx like an eval pool's (drawSamplePool); a canceled one
+// caches nothing and returns ctx.Err(). Caller holds the session lock and
+// has already applied opt.withDefaults and resolved opt.Workers.
+func (s *Session) warmPool(ctx context.Context, si *sessionInstance, opt Options) (sp *sessionPool, built bool, err error) {
 	s.tick++
 	for _, c := range si.pools {
 		if c.seed == opt.Seed && c.theta == opt.Theta {
 			c.used = s.tick
 			c.est.SetWorkers(opt.Workers)
 			s.poolReuses.Add(1)
-			return c, false
+			return c, false, nil
 		}
 	}
-	pool := NewSamplePool(si.est.Sampler(), si.in.src, opt.Theta, opt.Workers, rng.New(opt.Seed).Split(^uint64(0)))
+	pool, err := drawSamplePool(ctx, si.est.Sampler(), si.in.src, opt.Theta, opt.Workers, rng.New(opt.Seed).Split(^uint64(0)))
+	if err != nil {
+		return nil, false, err
+	}
 	est := NewIncrementalPooledEstimatorFromPool(pool, opt.Workers)
 	sp = &sessionPool{seed: opt.Seed, theta: opt.Theta, est: est, used: s.tick, bytes: est.MemoryBytes()}
 	if len(si.pools) < maxSessionPools {
@@ -262,7 +276,7 @@ func (s *Session) warmPool(si *sessionInstance, opt Options) (sp *sessionPool, b
 	}
 	s.poolBuilds.Add(1)
 	s.poolBytes.Add(sp.bytes)
-	return sp, true
+	return sp, true, nil
 }
 
 // refreshPoolBytes folds the estimator's current footprint into the gauge:
@@ -323,23 +337,25 @@ type AdvanceStats struct {
 // in-adjacency changed (both from dynamic.Graph.ChangedSince); vertex ids
 // must be stable, and the vertex count may only have grown.
 //
-// Prepared instances are re-bound to the new graph; each cached ReuseSamples
-// pool is repaired in place — only samples whose rng replay could touch a
-// change are redrawn: under IC those containing a changed source, under LT
+// Prepared instances are re-bound to the new graph, which rebuilds only
+// each seed view's mask and super row; each cached ReuseSamples pool is
+// repaired in place — only samples whose rng replay could touch a change
+// are redrawn: under IC those containing a changed source, under LT
 // additionally those containing an old in-neighbor of a changed target
 // (RepairSetLT) — leaving estimator state bit-identical to a cold build at
 // the new epoch, so warm solves stay warm across mutations. Each eval pool
 // is repaired by the same call and criterion, so it stays the pool a fresh
-// draw at the new epoch would give. For multi-seed instances the changed
-// vertices are mapped into the unified id space (a changed seed row folds
-// into the super-seed's combined row); a grown vertex count moves the
-// super-seed id, so those pools are dropped rather than repaired.
+// draw at the new epoch would give. On a seed view the criterion is the
+// unified graph's (a changed seed row folds into the super-seed's row);
+// a grown vertex count moves the super-seed id, so those pools are
+// dropped rather than repaired.
 func (h *LockedSession) Advance(g *graph.Graph, epoch uint64, changedSources, changedTargets []graph.V) AdvanceStats {
 	s := h.s
 	var st AdvanceStats
-	nChanged := g.N() != s.g.N()
+	grown := g.N() != s.g.N()
 	kept := s.insts[:0]
 	for _, si := range s.insts {
+		s.instanceBytes.Add(-si.in.memoryBytes())
 		in, err := newInstance(g, si.seeds)
 		if err != nil {
 			// Cannot happen while ids are stable and n only grows, but a
@@ -348,39 +364,10 @@ func (h *LockedSession) Advance(g *graph.Graph, epoch uint64, changedSources, ch
 			continue
 		}
 		sampler := in.sampler(s.diffusion)
-		repairable := true
-		mappedS, mappedT := changedSources, changedTargets
-		if in.numSeeds > 1 {
-			if nChanged {
-				repairable = false
-			} else {
-				mappedS = make([]graph.V, 0, len(changedSources)+1)
-				super := false
-				for _, v := range changedSources {
-					if si.in.isSeed[v] {
-						super = true // seed rows fold into the super-seed row
-					} else {
-						mappedS = append(mappedS, v)
-					}
-				}
-				if super {
-					mappedS = append(mappedS, in.src)
-				}
-				// Seeds are fully disconnected in the unified graph: their
-				// in-rows are empty there, so they drop out of the targets.
-				mappedT = make([]graph.V, 0, len(changedTargets))
-				for _, v := range changedTargets {
-					if !si.in.isSeed[v] {
-						mappedT = append(mappedT, v)
-					}
-				}
-			}
-		}
-		// The dirty criterion handed to Repair: under LT, widen with the
-		// old working graph's in-neighbors of every changed target.
-		criterion := mappedS
-		if repairable && s.diffusion == DiffusionLT {
-			criterion = RepairSetLT(si.in.g, mappedS, mappedT)
+		repairable := !grown || in.view == nil
+		var criterion []graph.V
+		if repairable {
+			criterion = si.in.dirtySet(s.diffusion, changedSources, changedTargets)
 		}
 		pools := si.pools[:0]
 		for _, sp := range si.pools {
@@ -414,6 +401,7 @@ func (h *LockedSession) Advance(g *graph.Graph, epoch uint64, changedSources, ch
 		}
 		si.in = in
 		si.est = NewEstimator(sampler, s.workers)
+		s.instanceBytes.Add(in.memoryBytes())
 		kept = append(kept, si)
 		st.Instances++
 	}
@@ -431,14 +419,15 @@ func (h *LockedSession) Reset(g *graph.Graph, epoch uint64) {
 	s := h.s
 	for _, si := range s.insts {
 		s.poolBytes.Add(-si.poolBytes())
+		s.instanceBytes.Add(-si.in.memoryBytes())
 	}
 	s.insts = nil
 	s.g = g
 	s.epoch = epoch
 }
 
-// Prepare makes sure the session holds the seed set's instance — the
-// multi-seed unification, candidate list and estimator scratch — building
+// Prepare makes sure the session holds the seed set's instance — the seed
+// view, candidate fences and estimator — building
 // it on a miss, and reports whether it did. Solve and EvaluateSpread
 // prepare on demand; calling Prepare first lets a caller account the build
 // separately from the work that follows. It counts in SessionStats like
@@ -451,10 +440,12 @@ func (h *LockedSession) Prepare(seeds []graph.V) (built bool, err error) {
 // Solve is Session.Solve on an already-acquired session, and the one
 // place a solve is dispatched: SolveContext runs it on a throwaway
 // session. Result.Runtime and Options.Timeout count from after the seed
-// set's instance and ReuseSamples pool are in hand, cached or built.
+// set's instance and ReuseSamples pool are in hand, cached or built. A
+// ReuseSamples pool draw checks ctx; a canceled one caches nothing and
+// returns a Result with Canceled set and no blockers.
 func (h *LockedSession) Solve(ctx context.Context, seeds []graph.V, b int, alg Algorithm, opt Options) (Result, error) {
-	// Reject a negative budget before prepare: the multi-seed reduction
-	// copies the whole graph, which bad input should not pay for.
+	// Reject a negative budget before prepare: bad input should neither
+	// build an instance nor evict a warm one.
 	if b < 0 {
 		return Result{}, fmt.Errorf("core: negative budget %d", b)
 	}
@@ -469,7 +460,10 @@ func (h *LockedSession) Solve(ctx context.Context, seeds []graph.V, b int, alg A
 	if opt.Workers == 0 {
 		opt.Workers = s.workers
 	}
-	est, sp := s.backend(si, alg, opt)
+	est, sp, err := s.backend(ctx, si, alg, opt)
+	if err != nil {
+		return Result{Canceled: true}, nil
+	}
 	start := time.Now()
 	halt := stopper{ctx: ctx, dl: opt.deadline(start)}
 	var res Result
@@ -548,10 +542,11 @@ func (h *LockedSession) EvaluateSpreadContext(ctx context.Context, seeds []graph
 	return graph.SpreadFromUnified(float64(total)/float64(rounds), in.numSeeds), drawn, nil
 }
 
-// blockedMask marks blockers in the session's reusable mask over in's
-// working graph, rejecting out-of-range ids and seeds.
+// blockedMask marks blockers in the session's reusable mask over in's id
+// space, rejecting out-of-range ids and seeds. It marks no seed: it masks
+// pool samples, which never hold one but the source.
 func (s *Session) blockedMask(in *instance, blockers []graph.V) ([]bool, error) {
-	n := in.g.N()
+	n := in.n()
 	if cap(s.evalBlocked) < n {
 		s.evalBlocked = make([]bool, n)
 	}
@@ -561,7 +556,7 @@ func (s *Session) blockedMask(in *instance, blockers []graph.V) ([]bool, error) 
 		if v < 0 || int(v) >= s.g.N() {
 			return nil, fmt.Errorf("core: blocker %d out of range", v)
 		}
-		if in.isSeed[v] {
+		if in.isSeed(v) {
 			return nil, fmt.Errorf("core: blocker %d is a seed", v)
 		}
 		blocked[v] = true
@@ -607,8 +602,13 @@ func (s *Session) Stats() SessionStats {
 	st.PoolBuilds = s.poolBuilds.Load()
 	st.PoolReuses = s.poolReuses.Load()
 	st.PoolBytes = s.poolBytes.Load()
+	st.InstanceBytes = s.instanceBytes.Load()
 	return st
 }
+
+// InstanceBytes reports the cached instances' footprint
+// (SessionStats.InstanceBytes) without taking the session lock.
+func (s *Session) InstanceBytes() int64 { return s.instanceBytes.Load() }
 
 // PoolStats reports the ReuseSamples pool counters without taking the
 // session lock, so a metrics endpoint never queues behind a running solve.
@@ -617,7 +617,7 @@ func (s *Session) PoolStats() (bytes, builds, reuses int64) {
 }
 
 // seedsKey canonicalizes a seed slice for reuse detection. Order is kept:
-// UnifySeeds multiplies the seeds' influence into the super-source's edge
+// the seed view multiplies the seeds' influence into the super row's
 // probabilities in seed order, so only a byte-identical seed sequence is
 // guaranteed to replay identically.
 func seedsKey(seeds []graph.V) string {

@@ -274,3 +274,41 @@ func TestRepeatedSeedMatchesDistinct(t *testing.T) {
 		}
 	}
 }
+
+// A ReuseSamples solve whose context is already canceled stops before its
+// pool draw finishes: it returns a partial Result with Canceled set and no
+// error, caches no pool, and leaves the pool counters as they were, so the
+// next solve draws the pool afresh and matches a cold solve.
+func TestSessionCanceledFirstReuseSolveDrawsNoPool(t *testing.T) {
+	g := sessionTestGraph(300)
+	seeds := []graph.V{1, 5, 9}
+	opt := Options{Theta: 5000, Seed: 3, Workers: 2, ReuseSamples: true}
+	sess := NewSession(g, DiffusionIC, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := sess.Solve(ctx, seeds, 4, AdvancedGreedy, opt)
+	if err != nil {
+		t.Fatalf("canceled solve returned error %v, want a partial Result", err)
+	}
+	if !res.Canceled || len(res.Blockers) != 0 || res.SampledGraphs != 0 {
+		t.Fatalf("canceled solve = %+v, want Canceled, no blockers, no samples", res)
+	}
+	if bytes, builds, reuses := sess.PoolStats(); bytes != 0 || builds != 0 || reuses != 0 {
+		t.Fatalf("PoolStats after canceled draw = (%d, %d, %d), want zeros", bytes, builds, reuses)
+	}
+
+	warm, err := sess.Solve(context.Background(), seeds, 4, AdvancedGreedy, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Solve(g, seeds, 4, AdvancedGreedy, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm.Blockers, cold.Blockers) || warm.SampledGraphs != int64(opt.Theta) {
+		t.Fatalf("solve after cancel = %v (drew %d), cold = %v", warm.Blockers, warm.SampledGraphs, cold.Blockers)
+	}
+	if _, builds, _ := sess.PoolStats(); builds != 1 {
+		t.Fatalf("PoolBuilds = %d after the live solve, want 1", builds)
+	}
+}

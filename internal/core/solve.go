@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/imin-dev/imin/internal/cascade"
@@ -130,14 +131,20 @@ type Result struct {
 	MCSSimulations int64
 }
 
-// instance is a single-source reduction of an IMIN problem.
+// instance is a single-source reduction of an IMIN problem (Section V). One
+// distinct seed is its own source on the caller's graph; several become a
+// super-seed on a seed view of it (graph.SeedView), which the samplers read
+// in place of UnifySeeds' copy and which draws the same samples.
 type instance struct {
-	g        *graph.Graph // working graph (unified when |seeds| > 1)
-	src      graph.V
-	isSeed   []bool // over working-graph ids; excludes super-seed
+	g        *graph.Graph    // the caller's graph (original ids = working ids)
+	view     *graph.SeedView // nil for one distinct seed
+	src      graph.V         // the seed, or the view's super-seed
 	numSeeds int
-	orig     *graph.Graph // the caller's graph (original ids = working ids)
-	cands    []graph.V    // blockable vertices, ascending (not src, not a seed)
+	// fences lists the distinct seeds ascending, then n. The blockable
+	// vertices (not the source, not a seed) are the runs between
+	// consecutive fences, so the selection loops scan them in ascending
+	// order with no per-vertex candidate test and no O(n) list.
+	fences []graph.V
 }
 
 // newInstance applies the multi-seed reduction of Section V.
@@ -150,53 +157,93 @@ func newInstance(g *graph.Graph, seeds []graph.V) (*instance, error) {
 			return nil, fmt.Errorf("core: seed %d out of range [0,%d)", s, g.N())
 		}
 	}
-	isSeed := make([]bool, g.N()+1)
-	distinct := 0
-	for _, s := range seeds {
-		if !isSeed[s] {
-			isSeed[s] = true
-			distinct++
-		}
-	}
+	fences := append(slices.Clone(seeds), graph.V(g.N()))
+	slices.Sort(fences)
+	fences = slices.Compact(fences)
+	distinct := len(fences) - 1
 	if distinct == g.N() {
 		return nil, errors.New("core: every vertex is a seed; nothing to block")
 	}
-	var in *instance
-	if distinct == 1 {
-		var src graph.V
-		for _, s := range seeds {
-			src = s
-			break
-		}
-		in = &instance{g: g, src: src, isSeed: isSeed[:g.N()], numSeeds: 1, orig: g}
-	} else {
-		unified, super := g.UnifySeeds(seeds)
-		in = &instance{g: unified, src: super, isSeed: isSeed, numSeeds: distinct, orig: g}
-	}
-	// The candidate id list is shared by every selection loop (greedy argmax
-	// scans, the Rand/OutDegree baselines): built once per instance, it keeps
-	// per-round scans O(candidates) instead of O(n) re-filtering, and a
-	// session-cached instance pays it only on first sight of a seed set.
-	in.cands = make([]graph.V, 0, in.orig.N()-distinct)
-	for u := graph.V(0); int(u) < in.orig.N(); u++ {
-		if in.candidate(u) {
-			in.cands = append(in.cands, u)
-		}
+	in := &instance{g: g, src: seeds[0], numSeeds: distinct, fences: slices.Clip(fences)}
+	if distinct > 1 {
+		in.view = graph.NewSeedView(g, seeds)
+		in.src = in.view.Super()
 	}
 	return in, nil
 }
 
-// sampler builds the live-edge sampler for the chosen diffusion model.
-func (in *instance) sampler(d Diffusion) cascade.LiveSampler {
-	if d == DiffusionLT {
-		return cascade.NewLT(in.g)
+// n returns the size of the instance's id space: the graph's vertices, plus
+// the super-seed on a view.
+func (in *instance) n() int {
+	if in.view != nil {
+		return in.view.N()
 	}
-	return cascade.NewIC(in.g)
+	return in.g.N()
 }
 
-// candidate reports whether u may be blocked: not the source, not a seed.
-func (in *instance) candidate(u graph.V) bool {
-	return u != in.src && !in.isSeed[u]
+// isSeed reports whether graph vertex v is a seed.
+func (in *instance) isSeed(v graph.V) bool {
+	if in.view != nil {
+		return in.view.Seeds()[v]
+	}
+	return v == in.src
+}
+
+// newBlocked returns an empty blocker mask over the instance's id space in
+// the form its samplers take: on a view every seed is marked, so the
+// samplers skip seed targets through the one mask they check.
+func (in *instance) newBlocked() []bool {
+	if in.view != nil {
+		return slices.Clone(in.view.Seeds())
+	}
+	return make([]bool, in.g.N())
+}
+
+// sourceRow returns the source's out-neighbors: the seed's, or the super
+// row (each seed's out-neighbors that are not seeds, once, ascending).
+func (in *instance) sourceRow() []graph.V {
+	if in.view != nil {
+		to, _ := in.view.SuperRow()
+		return to
+	}
+	return in.g.OutNeighbors(in.src)
+}
+
+// candidates returns the blockable vertices, ascending, as a fresh slice.
+func (in *instance) candidates() []graph.V {
+	cands := make([]graph.V, 0, in.g.N()-in.numSeeds)
+	lo := graph.V(0)
+	for _, hi := range in.fences {
+		for u := lo; u < hi; u++ {
+			cands = append(cands, u)
+		}
+		lo = hi + 1
+	}
+	return cands
+}
+
+// memoryBytes reports what the instance holds beyond the caller's graph:
+// the view's seed mask and super row, and the fences.
+func (in *instance) memoryBytes() int64 {
+	n := int64(cap(in.fences)) * 4
+	if in.view != nil {
+		n += in.view.MemoryBytes()
+	}
+	return n
+}
+
+// sampler builds the live-edge sampler for the chosen diffusion model.
+func (in *instance) sampler(d Diffusion) cascade.LiveSampler {
+	switch {
+	case d == DiffusionLT && in.view != nil:
+		return cascade.NewLTView(in.view)
+	case d == DiffusionLT:
+		return cascade.NewLT(in.g)
+	case in.view != nil:
+		return cascade.NewICView(in.view)
+	default:
+		return cascade.NewIC(in.g)
+	}
 }
 
 // Solve selects at most b blockers for seed set seeds on g using the chosen
@@ -228,12 +275,12 @@ func EvaluateSpread(g *graph.Graph, seeds []graph.V, blockers []graph.V, rounds 
 	if err != nil {
 		return 0, err
 	}
-	blocked := make([]bool, in.g.N())
+	blocked := in.newBlocked()
 	for _, v := range blockers {
 		if v < 0 || int(v) >= g.N() {
 			return 0, fmt.Errorf("core: blocker %d out of range", v)
 		}
-		if in.isSeed[v] {
+		if in.isSeed(v) {
 			return 0, fmt.Errorf("core: blocker %d is a seed", v)
 		}
 		blocked[v] = true

@@ -25,9 +25,9 @@ type SolveCost struct {
 	// MigrateNS is session repair after a mutation batch (0 when the
 	// session was already at the graph's epoch).
 	MigrateNS int64 `json:"migrate_ns,omitempty"`
-	// PrepareNS is the build of the seed set's instance: seed
-	// unification, candidate list and estimator scratch (0 when the
-	// session already held it).
+	// PrepareNS is the build of the seed set's instance: its seed view
+	// (seed mask and folded super-seed row), candidate fences and
+	// estimator (0 when the session already held it).
 	PrepareNS int64 `json:"prepare_ns,omitempty"`
 	// SolveNS is the greedy loop proper (core.Result.Runtime).
 	SolveNS int64 `json:"solve_ns"`
@@ -57,6 +57,10 @@ type SolveCost struct {
 	// served this solve: reuse_samples pools and the spread report's
 	// held-out samples.
 	PoolBytes int64 `json:"pool_bytes,omitempty"`
+	// InstanceBytes is the footprint of the seed-set instances that
+	// session caches, beyond the graph itself: seed masks, super rows and
+	// candidate fences.
+	InstanceBytes int64 `json:"instance_bytes,omitempty"`
 	// MCSSimulations counts the Monte-Carlo spread simulations
 	// baseline-greedy's selection ran; the spread report runs none.
 	MCSSimulations int64 `json:"mcs_simulations,omitempty"`

@@ -49,8 +49,11 @@ func (g *Graph) InducedSubgraph(keep []V) (*Graph, []V) {
 	return b.Build(), old
 }
 
-// UnifySeeds implements the paper's multi-seed to single-seed reduction.
-// It returns a graph with n+1 vertices where vertex n is the super-seed s'.
+// UnifySeeds implements the paper's multi-seed to single-seed reduction as
+// a copy. It returns a graph with n+1 vertices where vertex n is the
+// super-seed s'. The solver reads the same graph through a SeedView
+// instead; UnifySeeds stays as the view's test oracle and for callers
+// that need a materialized graph (exact spread, benchcore).
 //
 // For every non-seed vertex u influenced by h seeds with probabilities
 // p₁..p_h, the seed edges are replaced by a single edge (s', u) with

@@ -1295,7 +1295,7 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 		RequestID:       RequestID(ctx),
 	}
 
-	// Build the seed set's instance (seed unification, candidate list,
+	// Build the seed set's instance (seed view, candidate fences,
 	// estimator scratch) as a step of its own, so a cold build is charged
 	// to prepare instead of to whichever later call first needs it. It runs
 	// after every request check, so a rejected request never builds (or
@@ -1346,6 +1346,7 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 	cost.SamplesDrawn = res.SampledGraphs
 	cost.MCSSimulations = res.MCSSimulations
 	cost.PoolBytes, _, _ = sess.PoolStats()
+	cost.InstanceBytes = sess.InstanceBytes()
 	resp.Blockers = verticesToInts(res.Blockers)
 	resp.SampledGraphs = res.SampledGraphs
 	resp.MCSSimulations = res.MCSSimulations

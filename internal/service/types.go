@@ -1,7 +1,7 @@
 // Package service is the blocking-as-a-service layer: a long-running HTTP
 // server that keeps graphs and per-graph solver sessions warm so repeated
 // influence-minimization requests skip all setup cost (graph load,
-// multi-seed unification, sampler/estimator scratch allocation).
+// seed-set instances, sampler/estimator scratch allocation).
 //
 // It is built from three parts:
 //
